@@ -10,6 +10,7 @@
 #include <tuple>
 #include <utility>
 
+#include "congest/round_kernel.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -622,24 +623,14 @@ class AlphaSynchronizerRun {
         }
         node.extras.erase(it);
       }
-      if (options_.fault.reorder_prob > 0 && inbox.size() > 1) {
-        const std::uint64_t h = fault_detail::mix(
-            fseed_, fault_detail::kSaltReorder,
-            static_cast<std::uint64_t>(round), v);
-        if (fault_detail::to_unit(h) < options_.fault.reorder_prob) {
-          std::uint64_t state = h;
-          for (std::size_t i = inbox.size() - 1; i > 0; --i) {
-            const auto j =
-                static_cast<std::size_t>(splitmix64(state) % (i + 1));
-            std::swap(inbox[i], inbox[j]);
-          }
-          ++shard.stats.reordered_inboxes;
-          DMATCH_OBS(if (shard.sobs != nullptr) {
-            shard.sobs->trace_at(
-                clock_base_ + static_cast<std::uint64_t>(round),
-                obs::EventType::kFaultReorder, static_cast<std::uint32_t>(v));
-          })
-        }
+      if (fault_detail::shuffle_inbox(fseed_, static_cast<std::uint64_t>(round),
+                                      v, inbox, options_.fault)) {
+        ++shard.stats.reordered_inboxes;
+        DMATCH_OBS(if (shard.sobs != nullptr) {
+          shard.sobs->trace_at(clock_base_ + static_cast<std::uint64_t>(round),
+                               obs::EventType::kFaultReorder,
+                               static_cast<std::uint32_t>(v));
+        })
       }
     }
 
@@ -695,17 +686,15 @@ class AlphaSynchronizerRun {
       ev.round = round;
       ev.file_round = round + 1;
       if (fault_) {
-        // The engine's exact per-message decision hash: (run seed,
-        // sender round, receiver slot). Identical plan, identical fate.
+        // The round kernel's fate() for (run seed, sender round,
+        // receiver slot): identical plan, identical fate.
         const std::uint64_t in_slot =
             slot_offset_[static_cast<std::size_t>(u)] +
             static_cast<std::uint64_t>(uport);
-        const FaultPlan& plan = options_.fault;
-        const std::uint64_t h = fault_detail::mix(
-            fseed_, static_cast<std::uint64_t>(round), in_slot, 0);
-        if (plan.drop_prob > 0 &&
-            fault_detail::to_unit(fault_detail::mix(
-                h, fault_detail::kSaltDrop, 0, 0)) < plan.drop_prob) {
+        const fault_detail::MessageFate f = fault_detail::fate(
+            fseed_, static_cast<std::uint64_t>(round), in_slot,
+            options_.fault);
+        if (f.drop) {
           ev.dropped = true;
           ++shard.stats.dropped_messages;
           DMATCH_OBS(if (shard.sobs != nullptr) {
@@ -714,51 +703,35 @@ class AlphaSynchronizerRun {
                 obs::EventType::kFaultDrop, static_cast<std::uint32_t>(u),
                 in_slot);
           })
-        } else {
-          const bool dup =
-              plan.duplicate_prob > 0 &&
-              fault_detail::to_unit(fault_detail::mix(
-                  h, fault_detail::kSaltDup, 0, 0)) < plan.duplicate_prob;
-          const bool late =
-              plan.delay_prob > 0 &&
-              fault_detail::to_unit(fault_detail::mix(
-                  h, fault_detail::kSaltDelay, 0, 0)) < plan.delay_prob;
-          if (dup) {
-            const int d = fault_detail::delay_amount(
-                fault_detail::mix(h, fault_detail::kSaltDupAmount, 0, 0),
-                plan);
-            ++shard.stats.duplicated_messages;
-            DMATCH_OBS(if (shard.sobs != nullptr) {
-              shard.sobs->trace_at(
-                  clock_base_ + static_cast<std::uint64_t>(round),
-                  obs::EventType::kFaultDuplicate,
-                  static_cast<std::uint32_t>(u), in_slot,
-                  static_cast<std::uint64_t>(d));
-            })
-            Event copy;
-            copy.dst = u;
-            copy.dst_port = uport;
-            copy.kind = EventKind::kData;
-            copy.round = round;
-            copy.file_round = round + 1 + d;
-            copy.synth = true;
-            copy.payload = msg;
-            enqueue(s, now, std::move(copy));
-            ++shard.inflight_delta;
-          }
-          if (late) {
-            const int d = fault_detail::delay_amount(
-                fault_detail::mix(h, fault_detail::kSaltDelayAmount, 0, 0),
-                plan);
-            ++shard.stats.delayed_messages;
-            DMATCH_OBS(if (shard.sobs != nullptr) {
-              shard.sobs->trace_at(
-                  clock_base_ + static_cast<std::uint64_t>(round),
-                  obs::EventType::kFaultDelay, static_cast<std::uint32_t>(u),
-                  in_slot, static_cast<std::uint64_t>(d));
-            })
-            ev.file_round = round + 1 + d;
-          }
+        }
+        if (f.dup_delay > 0) {
+          ++shard.stats.duplicated_messages;
+          DMATCH_OBS(if (shard.sobs != nullptr) {
+            shard.sobs->trace_at(
+                clock_base_ + static_cast<std::uint64_t>(round),
+                obs::EventType::kFaultDuplicate, static_cast<std::uint32_t>(u),
+                in_slot, static_cast<std::uint64_t>(f.dup_delay));
+          })
+          Event copy;
+          copy.dst = u;
+          copy.dst_port = uport;
+          copy.kind = EventKind::kData;
+          copy.round = round;
+          copy.file_round = round + 1 + f.dup_delay;
+          copy.synth = true;
+          copy.payload = msg;
+          enqueue(s, now, std::move(copy));
+          ++shard.inflight_delta;
+        }
+        if (f.late_delay > 0) {
+          ++shard.stats.delayed_messages;
+          DMATCH_OBS(if (shard.sobs != nullptr) {
+            shard.sobs->trace_at(
+                clock_base_ + static_cast<std::uint64_t>(round),
+                obs::EventType::kFaultDelay, static_cast<std::uint32_t>(u),
+                in_slot, static_cast<std::uint64_t>(f.late_delay));
+          })
+          ev.file_round = round + 1 + f.late_delay;
         }
       }
       ev.payload = std::move(msg);
@@ -792,26 +765,11 @@ class AlphaSynchronizerRun {
       ob.profiler().round_end(stats_.round_payloads[r], obs_round_bits_[r]);
     }
     if (fault_) {
-      const std::uint64_t end_round = stats_.virtual_rounds + 1;
-      for (NodeId v = 0; v < g_.node_count(); ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (sched_.crash_at[vi] < end_round) {
-          sobs->trace_at(clock_base_ + sched_.crash_at[vi],
-                         obs::EventType::kCrash,
-                         static_cast<std::uint32_t>(v));
-        }
-        if (sched_.restart_at[vi] <= end_round) {
-          sobs->trace_at(clock_base_ + sched_.restart_at[vi],
-                         obs::EventType::kRestart,
-                         static_cast<std::uint32_t>(v));
-        }
-      }
-      sobs->count(ids.fault_dropped, stats_.dropped_messages);
-      sobs->count(ids.fault_duplicated, stats_.duplicated_messages);
-      sobs->count(ids.fault_delayed, stats_.delayed_messages);
-      sobs->count(ids.fault_reordered, stats_.reordered_inboxes);
-      sobs->count(ids.fault_crashed, stats_.crashed_nodes);
-      sobs->count(ids.fault_restarted, stats_.restarted_nodes);
+      // The engine's reconstruction with the run starting at lifetime
+      // round 0 (async runs are always a fresh nonce-0 history).
+      kernel::trace_crash_history(*sobs, sched_, 0, stats_.virtual_rounds + 1,
+                                  clock_base_);
+      kernel::export_fault_counts(*sobs, stats_);
     }
     sobs->count(ids.async_events, stats_.events);
     sobs->count(ids.async_payload_messages, stats_.payload_messages);

@@ -18,8 +18,8 @@
 // Network for the same node RNG streams -- asserted by the test suite.
 //
 // Execution model (see docs/PROTOCOLS.md, "Sharded async executor"):
-// nodes are partitioned into contiguous shards, one per worker of a
-// support/thread_pool, and each shard owns a local event queue ordered
+// nodes are partitioned into contiguous shards, one per task of the
+// support/sched dispatcher, and each shard owns a local event queue ordered
 // by the canonical event key (timestamp, destination, kind, port,
 // round, synthetic-copy flag). Per-event delivery delays are pure
 // hashes of that key, never draws from a shared stream, and the
@@ -33,20 +33,21 @@
 //
 // Fault awareness: AsyncOptions carries the same FaultPlan the round
 // engine takes, and the executor injects the same seed-hashed fault
-// history — every drop/duplicate/delay/reorder decision is the identical
-// mix(run_seed, round, slot) hash the engine draws, and the crash
-// schedule is the identical compute_crash_schedule() table — so a
-// protocol run under a plan agrees between the two executors round for
-// round. Faults act on the *payload plane* only: a dropped DATA message
-// still traverses the network as a synchronizer event and is
-// acknowledged (the alpha synchronizer's control plane is reliable, as
-// in Awerbuch's model), but its payload never reaches the inbox. A
-// delayed payload is filed for a later simulated round; a duplicate adds
-// a synthetic second delivery that generates no acknowledgement. Crashed
-// nodes stop executing their protocol but keep synchronizing (they
-// acknowledge and announce SAFE with no data) so their neighbors never
-// deadlock, and crash-restarts resurrect them with fresh protocol state
-// and a cleared output register — exactly the engine's semantics.
+// history — every drop/duplicate/delay/reorder decision comes from the
+// same fault_detail::fate() / shuffle_inbox() calls the round kernel
+// makes, and the crash schedule is the identical
+// compute_crash_schedule() table — so a protocol run under a plan agrees
+// between the two executors round for round. Faults act on the *payload
+// plane* only: a dropped DATA message still traverses the network as a
+// synchronizer event and is acknowledged (the alpha synchronizer's
+// control plane is reliable, as in Awerbuch's model), but its payload
+// never reaches the inbox. A delayed payload is filed for a later
+// simulated round; a duplicate adds a synthetic second delivery that
+// generates no acknowledgement. Crashed nodes stop executing their
+// protocol but keep synchronizing (they acknowledge and announce SAFE
+// with no data) so their neighbors never deadlock, and crash-restarts
+// resurrect them with fresh protocol state and a cleared output
+// register — exactly the engine's semantics.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "congest/message.hpp"
 #include "graph/graph.hpp"
 
 namespace dmatch::congest {
@@ -124,7 +126,8 @@ struct DegradationReport {
 namespace fault_detail {
 
 /// Stateless mix of up to four words into one hash (SplitMix64 finalizer
-/// chain). The basis of every per-message / per-node fault decision.
+/// chain). The basis of every per-message / per-node fault decision; the
+/// salt words that separate those decisions are private to fault.cpp.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                   std::uint64_t d) noexcept;
 
@@ -132,20 +135,6 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c,
 inline double to_unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-// Salt words separating the independent per-message / per-node fault
-// decisions derived from one (seed, nonce, round, slot) hash. Shared by
-// the synchronous round engine and the asynchronous executor so both
-// draw *identical* fault histories from the same plan.
-inline constexpr std::uint64_t kSaltDrop = 0xd509;
-inline constexpr std::uint64_t kSaltDelay = 0xde1a;
-inline constexpr std::uint64_t kSaltDelayAmount = 0xde1b;
-inline constexpr std::uint64_t kSaltDup = 0xd0b1;
-inline constexpr std::uint64_t kSaltDupAmount = 0xd0b2;
-inline constexpr std::uint64_t kSaltReorder = 0x5eff;
-inline constexpr std::uint64_t kSaltCrash = 0xc4a5;
-inline constexpr std::uint64_t kSaltCrashRound = 0xc4a6;
-inline constexpr std::uint64_t kSaltRestart = 0xc4a7;
 
 /// Per-run fault-stream seed: decorrelates the message-fault draws of
 /// successive run() invocations on one plan (`nonce` = run index).
@@ -167,13 +156,31 @@ struct CrashSchedule {
   }
 };
 
-/// Extra-delay magnitude in rounds, in [1, max(1, plan.max_delay)],
-/// drawn from the plan's delay model. `h` is the salted amount hash
-/// (the kSaltDelayAmount / kSaltDupAmount mix); both executors must
-/// pass the identical hash so their fault histories agree bit-for-bit.
-/// Under kUniform this reproduces the historical `1 + h % max_delay`
-/// draw exactly.
-int delay_amount(std::uint64_t h, const FaultPlan& plan) noexcept;
+/// What a plan does to one message. A dropped message is never also
+/// duplicated or delayed; a message can be both duplicated (an extra
+/// copy) and delayed (the original is late), each by its own draw.
+struct MessageFate {
+  bool drop = false;
+  /// > 0: an extra copy arrives this many rounds after the normal round.
+  int dup_delay = 0;
+  /// > 0: the only copy arrives this many rounds after the normal round.
+  int late_delay = 0;
+};
+
+/// The fate of the message sent in (lifetime) round `round` into the
+/// receiver-side port slot `in_slot`, for run seed `fseed`. Every
+/// executor takes its drop / duplicate / delay decisions from here and
+/// from nowhere else, so one plan yields one fault history.
+[[nodiscard]] MessageFate fate(std::uint64_t fseed, std::uint64_t round,
+                               std::uint64_t in_slot,
+                               const FaultPlan& plan) noexcept;
+
+/// The reorder fault for node `v`'s inbox in (lifetime) round `round`:
+/// with probability plan.reorder_prob the inbox is permuted in place by
+/// a seed-derived shuffle. Returns true iff it was reordered (inboxes of
+/// fewer than two messages never are).
+bool shuffle_inbox(std::uint64_t fseed, std::uint64_t round, NodeId v,
+                   std::span<Envelope> inbox, const FaultPlan& plan) noexcept;
 
 /// Draw the full crash schedule for `n` nodes from the plan seed, then
 /// layer the explicitly scheduled CrashEvents on top — every executor

@@ -1,9 +1,10 @@
 #include "mp/engine.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <atomic>
 #include <utility>
 
+#include "congest/round_kernel.hpp"
 #include "mp/frames.hpp"
 #include "support/assert.hpp"
 #include "support/sched.hpp"
@@ -12,28 +13,11 @@ namespace dmatch::mp {
 
 namespace {
 
+namespace kernel = congest::kernel;
 using congest::FaultPlan;
 using congest::Message;
 using congest::ProcessFactory;
 using congest::RunStats;
-using congest::fault_detail::kSaltDelay;
-using congest::fault_detail::kSaltDelayAmount;
-using congest::fault_detail::kSaltDrop;
-using congest::fault_detail::kSaltDup;
-using congest::fault_detail::kSaltDupAmount;
-using congest::fault_detail::kSaltReorder;
-
-constexpr std::uint32_t kEpochRenorm = 0xFFFF0000u;
-
-/// A delayed/duplicated delivery parked for a later round; same
-/// canonical (node, port, origin_round) ordering key as the
-/// single-process engine's delay ring.
-struct ExtraMsg {
-  NodeId node;
-  int port;
-  int origin_round;
-  Message msg;
-};
 
 /// Deterministic digest of the fault plan's observable knobs, used by
 /// the HELLO config check so ranks with diverging plans fail fast.
@@ -57,81 +41,42 @@ std::uint64_t plan_digest(const FaultPlan& p) {
   return h;
 }
 
-/// Mirror of NodeContext in congest/network.cpp: same send-side
-/// accounting and the same per-message observability hook.
-class MpNodeContext final : public congest::Context {
- public:
-  MpNodeContext(const Graph& g, NodeId id, int round, Rng& rng, int& mate_port,
-                congest::Model model, std::uint32_t cap_bits,
-                std::vector<congest::Envelope>& outbox, RunStats& stats)
-      : g_(g),
-        id_(id),
-        round_(round),
-        rng_(rng),
-        mate_port_(mate_port),
-        model_(model),
-        cap_bits_(cap_bits),
-        outbox_(outbox),
-        stats_(stats) {}
+/// The step router of one rank: deliveries to owned nodes stay local
+/// (this rank's mailbox, or its parked list for the delay ring), and
+/// everything else batches per peer rank for the round's ROUND frames.
+struct RankRouter {
+  kernel::Mailboxes& mail;
+  const kernel::PortTable& ports;
+  std::size_t n;
+  unsigned me;
+  unsigned procs;
+  int round;
+  std::vector<NodeId>& local_lane;           // owned receivers to wake
+  std::vector<kernel::Parked>& local_parked;  // owned late deliveries
+  std::vector<std::vector<WireMsg>>& batch;   // per-peer flush buffers
 
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] int degree() const override { return g_.degree(id_); }
-  [[nodiscard]] NodeId neighbor_id(int port) const override {
-    return g_.neighbor(id_, port);
-  }
-  [[nodiscard]] Weight edge_weight(int port) const override {
-    return g_.weight(g_.incident_edges(id_)[static_cast<std::size_t>(port)]);
-  }
-  [[nodiscard]] NodeId n_bound() const override { return g_.node_count(); }
-  [[nodiscard]] int round() const override { return round_; }
-  Rng& rng() override { return rng_; }
-
-  void send(int port, Message msg) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    if (model_ == congest::Model::kCongest && msg.bits > cap_bits_) {
-      throw congest::MessageTooLarge(
-          "message of " + std::to_string(msg.bits) +
-          " bits exceeds CONGEST cap of " + std::to_string(cap_bits_) +
-          " bits");
+  void deliver(NodeId u, std::size_t in_slot, Message&& msg) {
+    const unsigned tr = rank_of(u);
+    if (tr == me) {
+      mail.post(in_slot, std::move(msg));
+      local_lane.push_back(u);
+    } else {
+      batch[tr].push_back(
+          {u, ports.port_of(u, in_slot), round + 1, round, std::move(msg)});
     }
-    ++stats_.messages;
-    stats_.total_bits += msg.bits;
-    stats_.max_message_bits = std::max(stats_.max_message_bits, msg.bits);
-    DMATCH_OBS(if (obs_ != nullptr) {
-      obs_->link_message(obs_base_ + static_cast<std::size_t>(port), msg.bits);
-    })
-    outbox_.push_back({port, std::move(msg)});
   }
-
-  [[nodiscard]] int mate_port() const override { return mate_port_; }
-  void set_mate_port(int port) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    mate_port_ = port;
+  void park(kernel::Parked&& p) {
+    const unsigned tr = rank_of(p.node);
+    if (tr == me) {
+      local_parked.push_back(std::move(p));
+    } else {
+      batch[tr].push_back({p.node, p.port, p.deliver_round, p.origin_round,
+                           std::move(p.msg)});
+    }
   }
-  void clear_mate() override { mate_port_ = -1; }
-
-#ifndef DMATCH_OBS_DISABLED
-  [[nodiscard]] obs::ShardObs* obs() noexcept override { return obs_; }
-  void attach_obs(obs::ShardObs* o, std::size_t base_slot) noexcept {
-    obs_ = o;
-    obs_base_ = base_slot;
+  [[nodiscard]] unsigned rank_of(NodeId u) const {
+    return support::balanced_part_of(n, procs, static_cast<std::size_t>(u));
   }
-#endif
-
- private:
-#ifndef DMATCH_OBS_DISABLED
-  obs::ShardObs* obs_ = nullptr;
-  std::size_t obs_base_ = 0;
-#endif
-  const Graph& g_;
-  NodeId id_;
-  int round_;
-  Rng& rng_;
-  int& mate_port_;
-  congest::Model model_;
-  std::uint32_t cap_bits_;
-  std::vector<congest::Envelope>& outbox_;
-  RunStats& stats_;
 };
 
 }  // namespace
@@ -141,31 +86,19 @@ class MpNodeContext final : public congest::Context {
 // ---------------------------------------------------------------------
 
 struct MpEngine::Impl {
-  struct Gate {
-    std::uint32_t mark = 0;
-    std::uint32_t rcv = 0;
-  };
-
   // Global routing tables (every rank builds the full O(m) tables; the
   // graph itself is shared, and global slot ids are what keep the fault
   // hashes identical to the single-process engine).
-  std::vector<std::size_t> slot_offset;   // n + 1
-  std::vector<std::uint32_t> peer_slot;   // 2m
-  std::vector<NodeId> peer_node;          // 2m
+  kernel::PortTable ports;
+  kernel::Mailboxes mail;
 
   // Per-node state; only the owned range [lo, hi) is ever touched, the
   // rest stays at its initial value.
   std::vector<Rng> rng;
   std::vector<int> reg;
-  std::vector<Gate> gates;
-  std::vector<Message> cur_msg, nxt_msg;
-  std::vector<std::uint32_t> cur_stamp, nxt_stamp;
-  std::uint32_t epoch = 1;
+  std::vector<kernel::NodeGate> gates;
 
-  bool fault_active = false;
-  std::vector<std::uint64_t> crash_at, restart_at;
-  std::vector<std::pair<std::uint64_t, NodeId>> restart_events;  // owned only
-  std::vector<char> respawn_pending, restart_cleared;
+  kernel::CrashTable crashes;  // restart wakeups for the owned range only
   std::uint64_t lifetime_rounds = 0;
   std::uint64_t fault_nonce = 0;
 
@@ -175,8 +108,8 @@ struct MpEngine::Impl {
   std::vector<std::uint64_t> rejoins;
 
   void invalidate() {
-    epoch += 2;
-    std::fill(gates.begin(), gates.end(), Gate{});
+    mail.epoch += 2;
+    std::fill(gates.begin(), gates.end(), kernel::NodeGate{});
   }
 };
 
@@ -186,70 +119,32 @@ MpEngine::MpEngine(const Graph& g, congest::Model model, std::uint64_t seed,
     : g_(&g),
       model_(model),
       seed_(seed),
+      cap_bits_(kernel::message_cap_bits(g.node_count(), congest_factor)),
       options_(std::move(options)),
       group_(transport, options_.group),
       impl_(std::make_unique<Impl>()) {
   const auto n = static_cast<std::size_t>(g.node_count());
-  unsigned log_n = 1;
-  while ((NodeId{1} << log_n) < g.node_count()) ++log_n;
-  cap_bits_ = congest_factor * std::max(log_n, 4u);
-
   const auto [lo, hi] =
       support::balanced_range(n, group_.size(), group_.rank());
   lo_ = static_cast<NodeId>(lo);
   hi_ = static_cast<NodeId>(hi);
 
   Impl& im = *impl_;
-  im.slot_offset.assign(n + 1, 0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    im.slot_offset[static_cast<std::size_t>(v) + 1] =
-        im.slot_offset[static_cast<std::size_t>(v)] +
-        static_cast<std::size_t>(g.degree(v));
-  }
-  const std::size_t slots = im.slot_offset[n];
-  im.peer_slot.resize(slots);
-  im.peer_node.resize(slots);
+  im.ports.init(g);
+  im.ports.fill(g, 0, n);
   const Rng root(seed);
   im.rng.assign(n, Rng(0));
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    im.rng[vi] = root.fork(static_cast<std::uint64_t>(v));
-    const auto edges = g.incident_edges(v);
-    for (std::size_t p = 0; p < edges.size(); ++p) {
-      const EdgeId e = edges[p];
-      const NodeId u = g.other_endpoint(e, v);
-      const std::size_t i = im.slot_offset[vi] + p;
-      im.peer_node[i] = u;
-      im.peer_slot[i] = static_cast<std::uint32_t>(
-          im.slot_offset[static_cast<std::size_t>(u)] +
-          static_cast<std::size_t>(g.port_of_edge(u, e)));
-    }
+  for (std::size_t vi = 0; vi < n; ++vi) {
+    im.rng[vi] = root.fork(static_cast<std::uint64_t>(vi));
   }
   im.reg.assign(n, -1);
-  im.gates.assign(n, Impl::Gate{});
-  im.cur_msg.resize(slots);
-  im.nxt_msg.resize(slots);
-  im.cur_stamp.assign(slots, 0);
-  im.nxt_stamp.assign(slots, 0);
+  im.gates.assign(n, kernel::NodeGate{});
+  im.mail.resize(im.ports.slots());
 
-  im.fault_active = options_.fault.any();
   im.fault_nonce = options_.fault_nonce;
-  if (im.fault_active) {
-    congest::fault_detail::CrashSchedule sched =
-        congest::fault_detail::compute_crash_schedule(options_.fault,
-                                                      g.node_count());
-    im.crash_at = std::move(sched.crash_at);
-    im.restart_at = std::move(sched.restart_at);
-    for (NodeId v = lo_; v < hi_; ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (im.crash_at[vi] != congest::kRoundNever &&
-          im.restart_at[vi] != congest::kRoundNever) {
-        im.restart_events.emplace_back(im.restart_at[vi], v);
-      }
-    }
-    std::sort(im.restart_events.begin(), im.restart_events.end());
-    im.respawn_pending.assign(n, 0);
-    im.restart_cleared.assign(n, 0);
+  if (options_.fault.any()) {
+    im.crashes =
+        kernel::CrashTable(options_.fault, g.node_count(), lo_, hi_);
   }
   im.checkpoints.resize(group_.size());
   im.rejoins.assign(group_.size(), 0);
@@ -334,61 +229,41 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     return support::balanced_part_of(n, procs, static_cast<std::size_t>(v));
   };
 
-  const bool faults = im.fault_active;
+  const bool faults = options_.fault.any();
   const FaultPlan& plan = options_.fault;
   const std::uint64_t base_round = im.lifetime_rounds;
   const std::uint64_t fseed =
       faults ? congest::fault_detail::run_seed(plan.seed, im.fault_nonce++)
              : 0;
-  const int max_d = faults ? std::max(1, plan.max_delay) : 0;
-  const int delay_window = faults ? max_d + 2 : 0;
   const std::uint32_t decode_cap =
       model_ == congest::Model::kCongest ? cap_bits_ : (1u << 20);
 
-  if (im.epoch >= kEpochRenorm) {
-    std::fill(im.cur_stamp.begin(), im.cur_stamp.end(), 0);
-    std::fill(im.nxt_stamp.begin(), im.nxt_stamp.end(), 0);
-    im.epoch = 1;
+  if (im.mail.renormalize_if_due()) {
+    for (kernel::NodeGate& gate : im.gates) gate.mark = 0;
   }
 
-  const auto dead_at = [&im](NodeId v, std::uint64_t round) {
-    const auto vi = static_cast<std::size_t>(v);
-    return im.crash_at[vi] <= round && round < im.restart_at[vi];
-  };
-
-  // Delay ring for owned nodes + transient round state.
-  std::vector<std::vector<ExtraMsg>> ring(
-      static_cast<std::size_t>(delay_window));
-  std::uint64_t pending_extras = 0;
-  std::vector<NodeId> active, next_active;
-  std::vector<NodeId> local_lane;       // owned receivers woken by own sends
-  std::vector<ExtraMsg> local_extras;   // parked deliveries for owned nodes
-  std::vector<int> extra_deliver;       // deliver rounds, parallel to above
-  std::vector<std::vector<WireMsg>> batch(procs);  // per-peer flush buffers
-  std::vector<congest::Envelope> inbox, outbox;
-
-  // Processes for the owned range.
+  // One kernel lane for the owned range, plus the transient round state
+  // that crosses ranks.
   std::vector<std::unique_ptr<congest::Process>> procs_vec(n);
-  for (NodeId v = lo_; v < hi_; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (faults) {
-      im.respawn_pending[vi] = 0;
-      if (im.restart_at[vi] <= base_round && !im.restart_cleared[vi]) {
-        im.reg[vi] = -1;
-        im.restart_cleared[vi] = 1;
-      }
-    }
-    procs_vec[vi] = factory(v, g);
-    DMATCH_ENSURES(procs_vec[vi] != nullptr);
-    if (!procs_vec[vi]->halted() &&
-        !(faults && dead_at(v, base_round + (resume != nullptr
-                                                 ? resume->round
-                                                 : 0u)))) {
-      active.push_back(v);
-    }
-  }
+  const kernel::Run krun{g, model_, cap_bits_, im.ports, im.mail, factory,
+                         procs_vec, faults, plan, im.crashes, fseed,
+                         base_round};
+  kernel::Lane lane;
+  lane.regs = im.reg.data();
+  lane.rngs = im.rng.data();
+  lane.gates = im.gates.data();
+  lane.ring.reset(kernel::delay_window(faults, plan));
+  std::vector<NodeId> local_lane;
+  std::vector<kernel::Parked> local_parked;
+  std::vector<std::vector<WireMsg>> batch(procs);
+  const std::atomic<bool> no_stop{false};
 
-  RunStats stats;
+  const int start_round = resume != nullptr ? static_cast<int>(resume->round)
+                                            : 0;
+  kernel::spawn(krun, lane, lo_, hi_,
+                base_round + static_cast<std::uint64_t>(start_round));
+
+  RunStats& stats = lane.stats;
   std::uint64_t routed_before = 0;
   std::uint64_t bits_before = 0;
 
@@ -400,6 +275,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
   }
   obs::ShardObs* const sobs =
       observer != nullptr ? observer->shard(0) : nullptr;
+  lane.sobs = sobs;
   const std::uint64_t run_start_clock =
       observer != nullptr ? observer->clock() -
                                 (resume != nullptr ? resume->round : 0u)
@@ -409,17 +285,14 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
 #endif
 
   // --- quiescence counts for the first round ---------------------------
-  std::uint64_t global_scheduled = active.size();
-  std::uint64_t global_work = active.size();
-  const int start_round = resume != nullptr ? static_cast<int>(resume->round)
-                                            : 0;
+  std::uint64_t global_scheduled = lane.active.size();
+  std::uint64_t global_work = lane.active.size();
   if (resume != nullptr) {
     // The rejoiner forces at least one more global round; counts
     // resynchronize at its first COUNT exchange.
     global_work = std::max<std::uint64_t>(global_work, 1);
-    global_scheduled = active.size();
   } else if (procs > 1) {
-    CountFrame c0{me, 0, active.size(), 0, 0, 0, kNoRank};
+    CountFrame c0{me, 0, lane.active.size(), 0, 0, 0, kNoRank};
     group_.broadcast(encode_count(c0));
     std::vector<std::uint8_t> buf;
     for (unsigned p = 0; p < procs; ++p) {
@@ -473,178 +346,11 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     // --- step phase: run owned active nodes ---------------------------
     bool abort_local = false;
     local_lane.clear();
-    local_extras.clear();
-    extra_deliver.clear();
-    const std::uint32_t next_epoch = im.epoch + 1;
-    const std::uint64_t life_round =
-        base_round + static_cast<std::uint64_t>(r);
+    local_parked.clear();
+    RankRouter router{im.mail, im.ports, n, me, procs, r,
+                      local_lane, local_parked, batch};
     try {
-      for (const NodeId v : active) {
-        const auto vi = static_cast<std::size_t>(v);
-        const std::size_t base = im.slot_offset[vi];
-
-        if (faults) {
-          if (dead_at(v, life_round)) {
-            stats.dropped_messages += im.gates[vi].rcv;
-            im.gates[vi].rcv = 0;
-            const auto& bucket =
-                ring[static_cast<std::size_t>(r % delay_window)];
-            auto it = std::lower_bound(
-                bucket.begin(), bucket.end(), v,
-                [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-            for (; it != bucket.end() && it->node == v; ++it) {
-              ++stats.dropped_messages;
-            }
-            continue;
-          }
-          if (im.respawn_pending[vi]) {
-            im.respawn_pending[vi] = 0;
-            im.restart_cleared[vi] = 1;
-            im.reg[vi] = -1;
-            procs_vec[vi] = factory(v, g);
-            DMATCH_ENSURES(procs_vec[vi] != nullptr);
-          }
-        }
-
-        inbox.clear();
-        std::uint32_t remaining = im.gates[vi].rcv;
-        im.gates[vi].rcv = 0;
-        const std::size_t slot_end = im.slot_offset[vi + 1];
-        for (std::size_t slot = base; remaining > 0 && slot < slot_end;
-             ++slot) {
-          if (im.cur_stamp[slot] == im.epoch) {
-            inbox.push_back({static_cast<int>(slot - base),
-                             std::move(im.cur_msg[slot])});
-            --remaining;
-          }
-        }
-        DMATCH_ASSERT(remaining == 0);
-
-        if (faults) {
-          auto& bucket = ring[static_cast<std::size_t>(r % delay_window)];
-          auto it = std::lower_bound(
-              bucket.begin(), bucket.end(), v,
-              [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-          for (; it != bucket.end() && it->node == v; ++it) {
-            inbox.push_back({it->port, std::move(it->msg)});
-          }
-        }
-
-        if (procs_vec[vi]->halted() && inbox.empty()) continue;
-
-        if (faults && plan.reorder_prob > 0 && inbox.size() > 1) {
-          const std::uint64_t h = congest::fault_detail::mix(
-              fseed, kSaltReorder, life_round, static_cast<std::uint64_t>(v));
-          if (congest::fault_detail::to_unit(h) < plan.reorder_prob) {
-            std::uint64_t state = h;
-            for (std::size_t i = inbox.size() - 1; i > 0; --i) {
-              const auto j =
-                  static_cast<std::size_t>(splitmix64(state) % (i + 1));
-              std::swap(inbox[i], inbox[j]);
-            }
-            ++stats.reordered_inboxes;
-            DMATCH_OBS(if (sobs != nullptr) {
-              sobs->trace(obs::EventType::kFaultReorder,
-                          static_cast<std::uint32_t>(v));
-            })
-          }
-        }
-
-        outbox.clear();
-        MpNodeContext ctx(g, v, r, im.rng[vi], im.reg[vi], model_, cap_bits_,
-                          outbox, stats);
-        DMATCH_OBS(ctx.attach_obs(sobs, base);)
-        procs_vec[vi]->on_round(ctx, inbox);
-
-        for (congest::Envelope& env : outbox) {
-          const std::size_t out_slot =
-              base + static_cast<std::size_t>(env.port);
-          const std::size_t in_slot = im.peer_slot[out_slot];
-          const NodeId u = im.peer_node[out_slot];
-          if (faults) {
-            const std::uint64_t h =
-                congest::fault_detail::mix(fseed, life_round, in_slot, 0);
-            if (plan.drop_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDrop, 0, 0)) <
-                    plan.drop_prob) {
-              ++stats.dropped_messages;
-              DMATCH_OBS(if (sobs != nullptr) {
-                sobs->trace(obs::EventType::kFaultDrop,
-                            static_cast<std::uint32_t>(u), in_slot);
-              })
-              continue;
-            }
-            const bool dup =
-                plan.duplicate_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDup, 0, 0)) <
-                    plan.duplicate_prob;
-            const bool late =
-                plan.delay_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDelay, 0, 0)) <
-                    plan.delay_prob;
-            if (dup || late) {
-              const int rport = static_cast<int>(
-                  in_slot - im.slot_offset[static_cast<std::size_t>(u)]);
-              if (dup) {
-                const int d = congest::fault_detail::delay_amount(
-                    congest::fault_detail::mix(h, kSaltDupAmount, 0, 0),
-                    plan);
-                ++stats.duplicated_messages;
-                DMATCH_OBS(if (sobs != nullptr) {
-                  sobs->trace(obs::EventType::kFaultDuplicate,
-                              static_cast<std::uint32_t>(u), in_slot,
-                              static_cast<std::uint64_t>(d));
-                })
-                const unsigned tr = rank_of(u);
-                if (tr == me) {
-                  local_extras.push_back({u, rport, r, env.msg});
-                  extra_deliver.push_back(r + 1 + d);
-                } else {
-                  batch[tr].push_back({u, rport, r + 1 + d, r, env.msg});
-                }
-              }
-              if (late) {
-                const int d = congest::fault_detail::delay_amount(
-                    congest::fault_detail::mix(h, kSaltDelayAmount, 0, 0),
-                    plan);
-                ++stats.delayed_messages;
-                DMATCH_OBS(if (sobs != nullptr) {
-                  sobs->trace(obs::EventType::kFaultDelay,
-                              static_cast<std::uint32_t>(u), in_slot,
-                              static_cast<std::uint64_t>(d));
-                })
-                const unsigned tr = rank_of(u);
-                if (tr == me) {
-                  local_extras.push_back({u, rport, r, std::move(env.msg)});
-                  extra_deliver.push_back(r + 1 + d);
-                } else {
-                  batch[tr].push_back(
-                      {u, rport, r + 1 + d, r, std::move(env.msg)});
-                }
-                continue;
-              }
-            }
-          }
-          const unsigned tr = rank_of(u);
-          if (tr == me) {
-            DMATCH_EXPECTS(im.nxt_stamp[in_slot] != next_epoch);
-            im.nxt_msg[in_slot] = std::move(env.msg);
-            im.nxt_stamp[in_slot] = next_epoch;
-            local_lane.push_back(u);
-          } else {
-            const int rport = static_cast<int>(
-                in_slot - im.slot_offset[static_cast<std::size_t>(u)]);
-            batch[tr].push_back({u, rport, r + 1, r, std::move(env.msg)});
-          }
-        }
-        if (!procs_vec[vi]->halted()) {
-          next_active.push_back(v);
-          im.gates[vi].mark = next_epoch;
-        }
-      }
+      kernel::step(krun, lane, r, router, no_stop);
     } catch (...) {
       abort_local = true;
     }
@@ -713,78 +419,27 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     bool abort_route = false;
     if (!abort_local && !abort_remote) {
       try {
-        for (const NodeId u : local_lane) {
-          const auto ui = static_cast<std::size_t>(u);
-          ++im.gates[ui].rcv;
-          if (im.gates[ui].mark != next_epoch) {
-            im.gates[ui].mark = next_epoch;
-            next_active.push_back(u);
-          }
-        }
+        const std::uint32_t next_epoch = im.mail.epoch + 1;
+        for (const NodeId u : local_lane) kernel::arrive(lane, u, next_epoch);
         for (RoundFrame& f : remote) {
           for (WireMsg& m : f.msgs) {
             DMATCH_EXPECTS(rank_of(m.dst) == me);
             if (m.deliver_round == r + 1) {
               const std::size_t in_slot =
-                  im.slot_offset[static_cast<std::size_t>(m.dst)] +
+                  im.ports.slot_offset[static_cast<std::size_t>(m.dst)] +
                   static_cast<std::size_t>(m.port);
-              DMATCH_EXPECTS(im.nxt_stamp[in_slot] != next_epoch);
-              im.nxt_msg[in_slot] = std::move(m.msg);
-              im.nxt_stamp[in_slot] = next_epoch;
-              const auto ui = static_cast<std::size_t>(m.dst);
-              ++im.gates[ui].rcv;
-              if (im.gates[ui].mark != next_epoch) {
-                im.gates[ui].mark = next_epoch;
-                next_active.push_back(m.dst);
-              }
+              im.mail.post(in_slot, std::move(m.msg));
+              kernel::arrive(lane, m.dst, next_epoch);
             } else {
               DMATCH_EXPECTS(faults && m.deliver_round > r + 1);
-              ring[static_cast<std::size_t>(m.deliver_round % delay_window)]
-                  .push_back(
-                      {m.dst, m.port, m.origin_round, std::move(m.msg)});
-              ++pending_extras;
+              lane.ring.park({m.dst, m.port, m.deliver_round, m.origin_round,
+                              std::move(m.msg)});
             }
           }
         }
         if (faults) {
-          for (std::size_t i = 0; i < local_extras.size(); ++i) {
-            ring[static_cast<std::size_t>(extra_deliver[i] % delay_window)]
-                .push_back(std::move(local_extras[i]));
-            ++pending_extras;
-          }
-          auto& done_bucket = ring[static_cast<std::size_t>(r % delay_window)];
-          pending_extras -= done_bucket.size();
-          done_bucket.clear();
-          auto& next_bucket =
-              ring[static_cast<std::size_t>((r + 1) % delay_window)];
-          std::sort(next_bucket.begin(), next_bucket.end(),
-                    [](const ExtraMsg& a, const ExtraMsg& b) {
-                      return std::tie(a.node, a.port, a.origin_round) <
-                             std::tie(b.node, b.port, b.origin_round);
-                    });
-          for (const ExtraMsg& e : next_bucket) {
-            const auto ui = static_cast<std::size_t>(e.node);
-            if (im.gates[ui].mark != next_epoch) {
-              im.gates[ui].mark = next_epoch;
-              next_active.push_back(e.node);
-            }
-          }
-          const std::uint64_t wake =
-              base_round + static_cast<std::uint64_t>(r) + 1;
-          auto lo_it = std::lower_bound(im.restart_events.begin(),
-                                        im.restart_events.end(),
-                                        std::make_pair(wake, NodeId{0}));
-          for (; lo_it != im.restart_events.end() && lo_it->first == wake;
-               ++lo_it) {
-            const NodeId u = lo_it->second;
-            const auto ui = static_cast<std::size_t>(u);
-            im.respawn_pending[ui] = 1;
-            ++stats.restarted_nodes;
-            if (im.gates[ui].mark != next_epoch) {
-              im.gates[ui].mark = next_epoch;
-              next_active.push_back(u);
-            }
-          }
+          for (kernel::Parked& p : local_parked) lane.ring.park(std::move(p));
+          kernel::settle(krun, lane, r, [](NodeId) { return true; });
         }
       } catch (...) {
         abort_route = true;
@@ -797,8 +452,8 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     const std::uint64_t own_bits = stats.total_bits - bits_before;
 
     bool abort_count = false;
-    std::uint64_t sum_active = next_active.size();
-    std::uint64_t sum_extras = pending_extras;
+    std::uint64_t sum_active = lane.next_active.size();
+    std::uint64_t sum_extras = lane.ring.pending();
     std::uint64_t sum_msgs = own_sent;
     std::uint64_t sum_bits = own_bits;
     bool force_min_work = false;
@@ -824,8 +479,8 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
       const int admit_rank = me == 0 ? pending_rejoin : -1;
       CountFrame c{me,
                    static_cast<std::uint32_t>(r + 1),
-                   next_active.size(),
-                   pending_extras,
+                   lane.next_active.size(),
+                   lane.ring.pending(),
                    own_sent,
                    own_bits,
                    admit_rank >= 0 ? static_cast<unsigned>(admit_rank)
@@ -960,11 +615,9 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     }
 #endif
 
-    std::swap(im.cur_msg, im.nxt_msg);
-    std::swap(im.cur_stamp, im.nxt_stamp);
-    ++im.epoch;
-    std::swap(active, next_active);
-    next_active.clear();
+    im.mail.advance();
+    std::swap(lane.active, lane.next_active);
+    lane.next_active.clear();
     executed = r + 1;
   }
 
@@ -972,15 +625,10 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     if (!quiesced) quiesced = global_work == 0;
     stats.completed = quiesced;
     if (faults) {
-      stats.dropped_messages += pending_extras;
-      const std::uint64_t end_round =
-          base_round + static_cast<std::uint64_t>(executed);
-      for (NodeId v = lo_; v < hi_; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (im.crash_at[vi] >= base_round && im.crash_at[vi] < end_round) {
-          ++stats.crashed_nodes;
-        }
-      }
+      stats.dropped_messages += lane.ring.pending();
+      stats.crashed_nodes += im.crashes.crashes_between(
+          base_round, base_round + static_cast<std::uint64_t>(executed), lo_,
+          hi_);
     }
     im.invalidate();
   }
@@ -1057,36 +705,12 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
 
 #ifndef DMATCH_OBS_DISABLED
   if (observer != nullptr && !any_tripped) {
-    obs::ShardObs* const o = sobs;
     if (faults) {
-      const std::uint64_t end_round =
-          base_round + static_cast<std::uint64_t>(executed);
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (im.crash_at[vi] >= base_round && im.crash_at[vi] < end_round) {
-          o->trace_at(run_start_clock + (im.crash_at[vi] - base_round),
-                      obs::EventType::kCrash, static_cast<std::uint32_t>(v));
-        }
-        if (im.restart_at[vi] > base_round &&
-            im.restart_at[vi] <= end_round) {
-          o->trace_at(run_start_clock + (im.restart_at[vi] - base_round),
-                      obs::EventType::kRestart,
-                      static_cast<std::uint32_t>(v));
-        }
-      }
+      kernel::trace_crash_history(
+          *sobs, im.crashes.schedule(), base_round,
+          base_round + static_cast<std::uint64_t>(executed), run_start_clock);
     }
-    const obs::StdMetricIds& mid = o->ids();
-    o->count(mid.engine_runs, 1);
-    o->count(mid.engine_rounds, agg.rounds);
-    o->count(mid.engine_messages, agg.messages);
-    o->count(mid.engine_bits, agg.total_bits);
-    o->gauge_max(mid.engine_max_message_bits, agg.max_message_bits);
-    o->count(mid.fault_dropped, agg.dropped_messages);
-    o->count(mid.fault_duplicated, agg.duplicated_messages);
-    o->count(mid.fault_delayed, agg.delayed_messages);
-    o->count(mid.fault_reordered, agg.reordered_inboxes);
-    o->count(mid.fault_crashed, agg.crashed_nodes);
-    o->count(mid.fault_restarted, agg.restarted_nodes);
+    kernel::export_run_totals(*sobs, agg);
   }
 #endif
 
@@ -1097,7 +721,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
       base_round + static_cast<std::uint64_t>(executed);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    if (faults && dead_at(v, final_round)) dead[vi] = 1;
+    if (faults && im.crashes.dead_at(v, final_round)) dead[vi] = 1;
     if (!group_.alive(rank_of(v))) dead[vi] = 1;
   }
   congest::heal_register_image(g, regs_full, dead, &result.degradation);

@@ -1,27 +1,33 @@
 // Multi-process CONGEST round engine: one MpEngine instance per OS
 // process (rank), each owning a contiguous balanced node range of the
-// shared graph. Cross-shard messages batch into per-peer buffers and
-// flush as one ROUND frame per peer at the round boundary; a tiny COUNT
-// frame broadcast then carries each rank's (scheduled, parked, sent)
-// counts, and the run quiesces when the global sum hits zero — the
-// counting-based replacement for the shared-memory active-node worklist.
+// shared graph. Each round the rank steps its range through the same
+// round kernel as the single-process Network (congest/round_kernel.hpp,
+// one lane) with a router that keeps deliveries to owned nodes local and
+// batches the rest per peer; the batches flush as one ROUND frame per
+// peer at the round boundary. A tiny COUNT frame broadcast then carries
+// each rank's (scheduled, parked, sent) counts, and the run quiesces when
+// the global sum hits zero — the counting-based replacement for the
+// shared-memory active-node worklist. What lives here is only the
+// multi-process part: HELLO, flush/collect, COUNT quiescence,
+// checkpoint/rejoin and result assembly.
 //
-// Determinism contract (death-free runs): every fault decision is the
-// same pure hash of (plan seed, round, global slot) the single-process
-// Network computes, per-node RNGs fork from the node id, and the delay
-// ring sorts by the same (node, port, origin round) key — so matchings,
-// RunStats aggregates, merged metrics JSON, and merged trace multisets
-// are bit-identical to Network at any process count (asserted by the
-// `mp` test label and the difftorture procs axis).
+// Determinism contract (death-free runs): the per-node step, every fault
+// decision (fault_detail::fate() on global slot ids) and the delay
+// ring's (node, port, origin round) order are the Network's own, and
+// per-node RNGs fork from the node id — so matchings, RunStats
+// aggregates, merged metrics JSON, and merged trace multisets are
+// bit-identical to Network at any process count (asserted by the `mp`
+// test label and the difftorture procs axis).
 //
 // Robustness: ProcessGroup's heartbeat-piggybacked failure detector maps
 // a dead rank onto the congest/fault crash model — its nodes become
 // crashed-at-detection, survivors exclude it from the quiescence sums,
 // heal the assembled registers and extract a verify-clean matching over
 // the surviving subgraph. A restarted worker can rejoin from its last
-// register checkpoint with an advanced fault-stream nonce (the PR 3
-// replay discipline). Termination is watchdog-bounded throughout: every
-// wait is deadline-bounded and rounds are capped by max_rounds.
+// register checkpoint with an advanced fault-stream nonce (the same
+// replay discipline as stage checkpoints). Termination is
+// watchdog-bounded throughout: every wait is deadline-bounded and rounds
+// are capped by max_rounds.
 #pragma once
 
 #include <cstdint>

@@ -7,9 +7,9 @@
 // contract (bit-identical matchings, stats and obs output for any thread
 // count):
 //
-//  - kStatic: contiguous task ranges per worker, two condition-variable
-//    handshakes per dispatch. The baseline; identical in spirit to the old
-//    ThreadPool but with balanced remainder distribution.
+//  - kStatic: contiguous task ranges per worker (balanced remainder
+//    distribution), two condition-variable handshakes per dispatch. The
+//    baseline.
 //  - kWorkSteal: ownership of tasks is still the static balanced layout,
 //    but each task carries an atomic claim flag. A worker drains its own
 //    range in ascending order, then scans other workers' ranges in

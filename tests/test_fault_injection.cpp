@@ -1,11 +1,15 @@
 // Fault-injection subsystem: an inactive FaultPlan must leave the engine
 // byte-identical, an active plan must be bit-identical across thread
 // counts, every fault class must be observable in the RunStats counters,
-// the resilient link layer must mask message faults, and every driver
-// must degrade to a valid matching over the surviving nodes.
+// the resilient link layer must mask message faults, every driver must
+// degrade to a valid matching over the surviving nodes, and one pinned
+// fault history (the golden run) must not drift on any executor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "congest/async.hpp"
@@ -19,6 +23,8 @@
 #include "core/israeli_itai.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
+#include "mp_harness.hpp"
+#include "support/rng.hpp"
 #include "support/wire.hpp"
 
 namespace dmatch {
@@ -727,6 +733,179 @@ TEST(Drivers, HalfMwmDegradesGracefully) {
   const HalfMwmResult result = half_mwm(g, options);
   EXPECT_TRUE(result.matching.is_valid(g));
   EXPECT_GT(result.iterations, 0);
+}
+
+// --- Golden fault history ---------------------------------------------
+//
+// The bit-identity suites only prove that the executors agree with each
+// other; a drift in the shared fault model would move all of them at
+// once and still pass. The golden run pins one absolute history: a
+// fixed graph and a plan with every fault class active (drop, duplicate,
+// Pareto delay, reorder, crash, crash-restart), with the exact counters
+// and a digest of every inbox (in delivery order) plus the healed
+// matching, for each executor. These numbers were recorded before the
+// executors shared a round kernel and must never be edited to make a
+// refactor pass.
+
+FaultPlan golden_plan() {
+  FaultPlan plan;
+  plan.drop_prob = 0.05;
+  plan.duplicate_prob = 0.05;
+  plan.delay_prob = 0.1;
+  plan.max_delay = 4;
+  plan.delay_model = congest::DelayModel::kPareto;
+  plan.pareto_alpha = 1.1;
+  plan.reorder_prob = 0.3;
+  plan.crash_prob = 0.06;
+  plan.crash_round_bound = 24;
+  plan.restart_prob = 0.5;
+  plan.restart_delay = 5;
+  plan.seed = 2024;
+  return plan;
+}
+
+constexpr std::uint64_t kGoldenSeed = 17;
+constexpr int kGoldenBudget = 2048;
+
+Graph golden_graph() { return gen::gnp(96, 0.07, kGoldenSeed); }
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
+  std::uint64_t state = h ^ (x + 0x9e3779b97f4a7c15ULL);
+  return splitmix64(state);
+}
+
+/// Wraps a protocol process (Israeli-Itai under the resilient link layer,
+/// so no fault can trip a protocol invariant) and folds every inbox it is handed — round,
+/// then (port, bits, words) per envelope in delivery order — into the
+/// node's slot of a shared digest table. Each node is only ever stepped
+/// by one worker, so the slots need no synchronization.
+class InboxDigest final : public congest::Process {
+ public:
+  InboxDigest(std::unique_ptr<congest::Process> inner, std::uint64_t& slot)
+      : inner_(std::move(inner)), slot_(slot) {}
+
+  void on_round(congest::Context& ctx,
+                std::span<const congest::Envelope> inbox) override {
+    std::uint64_t h = fold(slot_, static_cast<std::uint64_t>(ctx.round()));
+    for (const congest::Envelope& env : inbox) {
+      h = fold(h, static_cast<std::uint64_t>(env.port));
+      h = fold(h, env.msg.bits);
+      for (const std::uint64_t w : env.msg.words) h = fold(h, w);
+    }
+    slot_ = h;
+    inner_->on_round(ctx, inbox);
+  }
+  [[nodiscard]] bool halted() const override { return inner_->halted(); }
+
+ private:
+  std::unique_ptr<congest::Process> inner_;
+  std::uint64_t& slot_;
+};
+
+congest::ProcessFactory digest_factory(std::vector<std::uint64_t>& slots) {
+  congest::ProcessFactory inner =
+      congest::resilient_factory(israeli_itai_factory());
+  return [inner, &slots](NodeId v, const Graph& g)
+             -> std::unique_ptr<congest::Process> {
+    return std::make_unique<InboxDigest>(
+        inner(v, g), slots[static_cast<std::size_t>(v)]);
+  };
+}
+
+std::uint64_t history_digest(const Graph& g,
+                             const std::vector<std::uint64_t>& slots,
+                             const Matching& m) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t s : slots) h = fold(h, s);
+  for (const EdgeId e : m.edges(g)) h = fold(h, e);
+  return h;
+}
+
+struct GoldenCounts {
+  std::uint64_t messages, rounds, dropped, duplicated, delayed, reordered,
+      crashed, restarted, digest;
+};
+
+void expect_golden(const GoldenCounts& want, const GoldenCounts& got,
+                   const std::string& tag) {
+  EXPECT_EQ(want.messages, got.messages) << tag;
+  EXPECT_EQ(want.rounds, got.rounds) << tag;
+  EXPECT_EQ(want.dropped, got.dropped) << tag;
+  EXPECT_EQ(want.duplicated, got.duplicated) << tag;
+  EXPECT_EQ(want.delayed, got.delayed) << tag;
+  EXPECT_EQ(want.reordered, got.reordered) << tag;
+  EXPECT_EQ(want.crashed, got.crashed) << tag;
+  EXPECT_EQ(want.restarted, got.restarted) << tag;
+  EXPECT_EQ(want.digest, got.digest) << tag;
+}
+
+GoldenCounts counts_of(const RunStats& s, std::uint64_t digest) {
+  return {s.messages,         s.rounds,
+          s.dropped_messages, s.duplicated_messages,
+          s.delayed_messages, s.reordered_inboxes,
+          s.crashed_nodes,    s.restarted_nodes,
+          digest};
+}
+
+// The round engine and the multi-process engine execute the same
+// synchronous history, so they share one pinned record.
+// The run ends at the round budget: nodes next to a permanently crashed
+// neighbor keep their ARQ state open, while the last message moves well
+// before round 1000.
+constexpr GoldenCounts kGoldenSync = {7947, 2048, 519, 382, 709, 481,
+                                      5,    2,    852446421722737332ULL};
+constexpr GoldenCounts kGoldenAsync = {7947, 2048, 519, 382, 709, 481,
+                                       5,    2,    12204206204391041752ULL};
+
+TEST(GoldenFaultHistory, NetworkAtOneAndFourThreads) {
+  const Graph g = golden_graph();
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<std::uint64_t> slots(static_cast<std::size_t>(g.node_count()),
+                                     0);
+    Network::Options options;
+    options.num_threads = threads;
+    options.fault = golden_plan();
+    Network net(g, Model::kCongest, kGoldenSeed, 48, options);
+    const RunStats stats = net.run(digest_factory(slots), kGoldenBudget);
+    net.heal_registers();
+    const Matching m = net.extract_matching();
+    expect_golden(kGoldenSync, counts_of(stats, history_digest(g, slots, m)),
+                  "network threads=" + std::to_string(threads));
+  }
+}
+
+TEST(GoldenFaultHistory, RunSynchronized) {
+  const Graph g = golden_graph();
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(g.node_count()),
+                                   0);
+  congest::AsyncOptions options;
+  options.fault = golden_plan();
+  const congest::AsyncRunResult result = congest::run_synchronized(
+      g, digest_factory(slots), kGoldenSeed, kGoldenBudget, options);
+  const congest::AsyncStats& s = result.stats;
+  expect_golden(kGoldenAsync,
+                {s.payload_messages, s.virtual_rounds, s.dropped_messages,
+                 s.duplicated_messages, s.delayed_messages,
+                 s.reordered_inboxes, s.crashed_nodes, s.restarted_nodes,
+                 history_digest(g, slots, result.matching)},
+                "run_synchronized");
+}
+
+TEST(GoldenFaultHistory, MpEngineTwoRanksOnLoopback) {
+  const Graph g = golden_graph();
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(g.node_count()),
+                                   0);
+  mptest::MpConfig cfg;
+  cfg.procs = 2;
+  cfg.fault = golden_plan();
+  cfg.max_rounds = kGoldenBudget;
+  const mptest::MpRun run =
+      mptest::run_mp(g, kGoldenSeed, digest_factory(slots), cfg);
+  ASSERT_FALSE(run.root.tripped);
+  expect_golden(kGoldenSync,
+                counts_of(run.root.stats,
+                          history_digest(g, slots, run.root.matching)),
+                "mp procs=2");
 }
 
 }  // namespace

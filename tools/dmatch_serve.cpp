@@ -54,6 +54,7 @@
 #include "dyn/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
+#include "support/sched.hpp"
 
 using namespace dmatch;
 
@@ -113,20 +114,11 @@ Graph make_graph(const std::string& spec, std::uint64_t seed) {
   return Graph{};
 }
 
-dyn::WorkloadMode parse_mode(const std::string& s) {
+std::optional<dyn::WorkloadMode> parse_mode(const std::string& s) {
   if (s == "uniform") return dyn::WorkloadMode::kUniform;
   if (s == "hotspot") return dyn::WorkloadMode::kHotspot;
   if (s == "flap") return dyn::WorkloadMode::kAdversarialFlap;
-  DMATCH_EXPECTS(!"unknown workload mode");
-  return dyn::WorkloadMode::kUniform;
-}
-
-support::SchedMode parse_sched(const std::string& s) {
-  if (s == "static") return support::SchedMode::kStatic;
-  if (s == "steal") return support::SchedMode::kWorkSteal;
-  if (s == "rapid") return support::SchedMode::kRapidStart;
-  DMATCH_EXPECTS(!"unknown sched mode");
-  return support::SchedMode::kStatic;
+  return std::nullopt;
 }
 
 void print_epoch(const dyn::EpochReport& r) {
@@ -156,6 +148,27 @@ int main(int argc, char** argv) {
   }
   const Args& args = *parsed;
 
+  // Mode names are checked before any work, with the same usage error
+  // (exit 2) as dmatch_cli.
+  const std::string mode = args.get("mode", "uniform");
+  const std::optional<dyn::WorkloadMode> workload_mode = parse_mode(mode);
+  if (!workload_mode) {
+    std::fprintf(stderr,
+                 "unknown --mode: %s (expected uniform | hotspot | flap)\n",
+                 mode.c_str());
+    return 2;
+  }
+  const std::string sched_mode = args.get("sched-mode", "static");
+  const std::optional<support::SchedMode> sched =
+      support::parse_sched_mode(sched_mode);
+  if (!sched) {
+    std::fprintf(stderr,
+                 "unknown --sched-mode: %s (expected static | steal | "
+                 "rapid)\n",
+                 sched_mode.c_str());
+    return 2;
+  }
+
   const std::uint64_t seed = std::stoull(args.get("seed", "1"));
   const Graph g = make_graph(args.get("gen", "gnp:2000,0.002"), seed);
 
@@ -167,7 +180,7 @@ int main(int argc, char** argv) {
   so.repair.fallback_fraction = std::stod(args.get("fallback", "0.25"));
   so.repair.num_threads =
       static_cast<unsigned>(std::stoul(args.get("threads", "1")));
-  so.repair.sched.mode = parse_sched(args.get("sched-mode", "static"));
+  so.repair.sched.mode = *sched;
   so.repair.seed = seed;
   const bool certify = args.get("certify", "0") == "1";
   so.repair.certify = certify;
@@ -178,7 +191,7 @@ int main(int argc, char** argv) {
 
   // Workload stream.
   dyn::WorkloadOptions wo;
-  wo.mode = parse_mode(args.get("mode", "uniform"));
+  wo.mode = *workload_mode;
   wo.seed = seed;
   const std::size_t total_ops = std::stoul(args.get("ops", "2000"));
 
