@@ -1,22 +1,22 @@
 // E23 -- scheduler dispatch overhead, shard load balance, and
-// mode-independence of results.
+// thread-count independence of results.
 //
-// The round engine's dispatcher (support/sched.hpp) offers three
-// scheduling modes -- static, work-stealing, rapid-start -- that may only
-// differ in wall-clock behavior, never in results. This bench measures
-// the three claims separately:
+// The round engine's dispatcher (support/sched.hpp) hands shard tasks to
+// its workers by one condition-variable handshake per dispatch and lets
+// idle workers steal unclaimed tasks; it may change wall-clock behavior,
+// never results. This bench measures the claims separately:
 //   A. dispatch overhead: wall time of an empty run_tasks() fan-out per
-//      mode and thread count (the fixed cost every engine round pays);
-//   B. shard service-time balance: per-shard busy-ns min/median/max under
-//      a uniform-degree G(n,p) vs a power-law Barabasi-Albert graph, for
-//      static vs work-stealing dispatch (stealing should cap the max on
-//      skewed work when real cores are available);
-//   C. end-to-end engine throughput (rounds/s) per mode;
+//      thread count (the fixed cost every engine round pays);
+//   B. shard service-time balance: per-shard busy-ns min/median/max and
+//      tasks run per worker under a uniform-degree G(n,p) vs a power-law
+//      Barabasi-Albert graph (stealing moves blocks of a hub-heavy range
+//      to idle workers when real cores are available);
+//   C. end-to-end engine throughput (rounds/s) per thread count;
 //   D. determinism sweep: the Israeli-Itai matching is hashed across
-//      every mode x thread count, fault-free and under a fault plan --
-//      all hashes must be identical. On a 1-core container A-C degenerate
-//      (no parallelism to observe) and D plus the embedded machine
-//      context is the load-bearing output.
+//      thread counts with different shard counts, fault-free and under a
+//      fault plan -- all hashes must be identical. On a 1-core container
+//      A-C degenerate (no parallelism to observe) and D plus the embedded
+//      machine context is the load-bearing output.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -43,12 +43,7 @@ using congest::Message;
 using congest::Model;
 using congest::Network;
 using congest::Process;
-using support::SchedMode;
-using support::SchedOptions;
 using support::Scheduler;
-
-constexpr SchedMode kModes[] = {SchedMode::kStatic, SchedMode::kWorkSteal,
-                                SchedMode::kRapidStart};
 
 /// Flood protocol from E18: every node sends on every port each round, so
 /// per-shard work is proportional to the shard's degree sum.
@@ -112,45 +107,37 @@ ServiceStats service_stats(const std::vector<std::uint64_t>& ns) {
 
 int main() {
   bench::banner("E23",
-                "scheduling modes change wall-clock behavior only: dispatch "
-                "cost and balance differ, results are bit-identical");
+                "work-stealing dispatch changes wall-clock behavior only: "
+                "dispatch cost and balance vary with threads, results are "
+                "bit-identical");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<unsigned> thread_counts = {1, 2, 4};
   if (hw > 4) thread_counts.push_back(hw);
 
   bench::JsonReport report("scheduling");
-  report.set_machine(bench::machine_context_json());
 
   // --- A. dispatch overhead ------------------------------------------
   {
-    Table table({"mode", "threads", "tasks", "dispatch us (min of N)"});
+    Table table({"threads", "tasks", "dispatch us (min of N)"});
     constexpr int kBatch = 1000;
-    for (const SchedMode mode : kModes) {
-      for (const unsigned threads : thread_counts) {
-        SchedOptions opts;
-        opts.mode = mode;
-        Scheduler sched(threads, opts);
-        const unsigned tasks = sched.plan_tasks(1u << 20);
-        const auto noop = [](unsigned) {};
-        const double secs = bench::min_seconds(
-            [&] {
-              for (int i = 0; i < kBatch; ++i) sched.run_tasks(tasks, noop);
-            },
-            5, 1);
-        const double us = secs / kBatch * 1e6;
-        table.row()
-            .cell(std::string(support::to_string(mode)))
-            .cell(std::int64_t{threads})
-            .cell(std::int64_t{tasks})
-            .cell(us, 3);
-        std::ostringstream cell;
-        cell << "{\"section\":\"dispatch\",\"mode\":\""
-             << support::to_string(mode) << "\",\"threads\":" << threads
-             << ",\"tasks\":" << tasks << ",\"dispatch_us\":" << us << "}";
-        std::cout << cell.str() << "\n";
-        report.cell(cell.str());
-      }
+    for (const unsigned threads : thread_counts) {
+      Scheduler sched(threads);
+      const unsigned tasks = sched.plan_tasks(1u << 20);
+      const auto noop = [](unsigned) {};
+      const double secs = bench::min_seconds(
+          [&] {
+            for (int i = 0; i < kBatch; ++i) sched.run_tasks(tasks, noop);
+          },
+          5, 1);
+      const double us = secs / kBatch * 1e6;
+      table.row().cell(std::int64_t{threads}).cell(std::int64_t{tasks}).cell(
+          us, 3);
+      std::ostringstream cell;
+      cell << "{\"section\":\"dispatch\",\"threads\":" << threads
+           << ",\"tasks\":" << tasks << ",\"dispatch_us\":" << us << "}";
+      std::cout << cell.str() << "\n";
+      report.cell(cell.str());
     }
     std::cout << "\n";
     table.print(std::cout);
@@ -169,86 +156,73 @@ int main() {
         {"gnp_uniform", gen::gnp(n, 8.0 / n, 11)},
         {"ba_powerlaw", gen::barabasi_albert(n, 4, 11)},
     };
-    Table table({"graph", "mode", "threads", "shards", "min ms", "median ms",
-                 "max ms", "max/median"});
+    Table table({"graph", "threads", "shards", "min ms", "median ms",
+                 "max ms", "max/median", "worker tasks min", "max"});
     for (const Workload& wl : loads) {
-      for (const SchedMode mode : {SchedMode::kStatic, SchedMode::kWorkSteal}) {
-        Network::Options opt;
-        opt.num_threads = hw;
-        opt.sched.mode = mode;
-        opt.sched.profile = true;
-        Network net(wl.g, Model::kLocal, 1, 48, opt);
-        net.run(flood_factory(rounds), rounds + 2);
-        const ServiceStats s =
-            service_stats(net.scheduler().task_service_ns());
-        const double ratio =
-            s.median_ms > 0 ? s.max_ms / s.median_ms : 0;
-        table.row()
-            .cell(std::string(wl.name))
-            .cell(std::string(support::to_string(mode)))
-            .cell(std::int64_t{hw})
-            .cell(std::int64_t{net.num_shards()})
-            .cell(s.min_ms, 3)
-            .cell(s.median_ms, 3)
-            .cell(s.max_ms, 3)
-            .cell(ratio, 2);
-        std::ostringstream cell;
-        cell << "{\"section\":\"balance\",\"graph\":\"" << wl.name
-             << "\",\"mode\":\"" << support::to_string(mode)
-             << "\",\"threads\":" << hw
-             << ",\"shards\":" << net.num_shards()
-             << ",\"service_min_ms\":" << s.min_ms
-             << ",\"service_median_ms\":" << s.median_ms
-             << ",\"service_max_ms\":" << s.max_ms
-             << ",\"max_over_median\":" << ratio << "}";
-        std::cout << cell.str() << "\n";
-        report.cell(cell.str());
-      }
+      Network::Options opt;
+      opt.num_threads = hw;
+      opt.sched.profile = true;
+      Network net(wl.g, Model::kLocal, 1, 48, opt);
+      net.run(flood_factory(rounds), rounds + 2);
+      const ServiceStats s = service_stats(net.scheduler().task_service_ns());
+      const double ratio = s.median_ms > 0 ? s.max_ms / s.median_ms : 0;
+      const std::vector<std::uint64_t>& per_worker =
+          net.scheduler().worker_task_counts();
+      const auto [lo, hi] =
+          std::minmax_element(per_worker.begin(), per_worker.end());
+      const auto tasks_min =
+          static_cast<std::int64_t>(lo == per_worker.end() ? 0 : *lo);
+      const auto tasks_max =
+          static_cast<std::int64_t>(hi == per_worker.end() ? 0 : *hi);
+      table.row()
+          .cell(std::string(wl.name))
+          .cell(std::int64_t{hw})
+          .cell(std::int64_t{net.num_shards()})
+          .cell(s.min_ms, 3)
+          .cell(s.median_ms, 3)
+          .cell(s.max_ms, 3)
+          .cell(ratio, 2)
+          .cell(tasks_min)
+          .cell(tasks_max);
+      std::ostringstream cell;
+      cell << "{\"section\":\"balance\",\"graph\":\"" << wl.name
+           << "\",\"threads\":" << hw << ",\"shards\":" << net.num_shards()
+           << ",\"service_min_ms\":" << s.min_ms
+           << ",\"service_median_ms\":" << s.median_ms
+           << ",\"service_max_ms\":" << s.max_ms
+           << ",\"max_over_median\":" << ratio
+           << ",\"worker_tasks_min\":" << tasks_min
+           << ",\"worker_tasks_max\":" << tasks_max << "}";
+      std::cout << cell.str() << "\n";
+      report.cell(cell.str());
     }
     std::cout << "\n";
     table.print(std::cout);
     std::cout << "\n";
   }
 
-  // --- C. end-to-end engine throughput per mode ----------------------
+  // --- C. end-to-end engine throughput per thread count --------------
   {
     const NodeId n = 20000;
     const int rounds = 10;
     const Graph g = gen::gnp(n, 8.0 / n, 7);
-    Table table({"mode", "threads", "pin", "seconds (min of N)", "rounds/s"});
-    for (const SchedMode mode : kModes) {
-      for (const unsigned threads : thread_counts) {
-        SchedOptions sched;
-        sched.mode = mode;
-        // Pin only the largest fan-out; pinning a 1-thread run is a no-op
-        // and the contrast is what the column is for.
-        sched.pin_threads =
-            threads == thread_counts.back() && Scheduler::pinning_supported();
-        Network::Options opt;
-        opt.num_threads = threads;
-        opt.sched = sched;
-        const double secs = bench::min_seconds(
-            [&] {
-              Network net(g, Model::kLocal, 1, 48, opt);
-              net.run(flood_factory(rounds), rounds + 2);
-            },
-            3, 1);
-        const double rps = static_cast<double>(rounds) / secs;
-        table.row()
-            .cell(std::string(support::to_string(mode)))
-            .cell(std::int64_t{threads})
-            .cell(std::int64_t{sched.pin_threads ? 1 : 0})
-            .cell(secs, 4)
-            .cell(rps, 1);
-        std::ostringstream cell;
-        cell << "{\"section\":\"throughput\",\"mode\":\""
-             << support::to_string(mode) << "\",\"threads\":" << threads
-             << ",\"pin\":" << (sched.pin_threads ? "true" : "false")
-             << ",\"seconds\":" << secs << ",\"rounds_per_sec\":" << rps
-             << "}";
-        std::cout << cell.str() << "\n";
-        report.cell(cell.str());
-      }
+    Table table({"threads", "seconds (min of N)", "rounds/s"});
+    for (const unsigned threads : thread_counts) {
+      Network::Options opt;
+      opt.num_threads = threads;
+      const double secs = bench::min_seconds(
+          [&] {
+            Network net(g, Model::kLocal, 1, 48, opt);
+            net.run(flood_factory(rounds), rounds + 2);
+          },
+          3, 1);
+      const double rps = static_cast<double>(rounds) / secs;
+      table.row().cell(std::int64_t{threads}).cell(secs, 4).cell(rps, 1);
+      std::ostringstream cell;
+      cell << "{\"section\":\"throughput\",\"threads\":" << threads
+           << ",\"seconds\":" << secs << ",\"rounds_per_sec\":" << rps << "}";
+      std::cout << cell.str() << "\n";
+      report.cell(cell.str());
     }
     std::cout << "\n";
     table.print(std::cout);
@@ -266,39 +240,36 @@ int main() {
     faults.crash_prob = 0.002;
     faults.restart_prob = 0.5;
     faults.seed = 99;
-    Table table({"faults", "mode", "threads", "matching hash", "identical"});
+    Table table({"faults", "threads", "matching hash", "identical"});
     for (const bool faulty : {false, true}) {
       std::uint64_t reference = 0;
       bool have_reference = false;
-      for (const SchedMode mode : kModes) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          Network::Options opt;
-          opt.num_threads = threads;
-          opt.sched.mode = mode;
-          if (faulty) opt.fault = faults;
-          const auto result = maximal_matching(g, 17, 48, opt);
-          const std::uint64_t h = matching_hash(g, result.matching);
-          if (!have_reference) {
-            reference = h;
-            have_reference = true;
-          }
-          const bool same = h == reference;
-          all_identical = all_identical && same;
-          table.row()
-              .cell(std::int64_t{faulty ? 1 : 0})
-              .cell(std::string(support::to_string(mode)))
-              .cell(std::int64_t{threads})
-              .cell(static_cast<std::int64_t>(h))
-              .cell(std::string(same ? "yes" : "NO"));
-          std::ostringstream cell;
-          cell << "{\"section\":\"determinism\",\"faults\":"
-               << (faulty ? "true" : "false") << ",\"mode\":\""
-               << support::to_string(mode) << "\",\"threads\":" << threads
-               << ",\"matching_hash\":" << h
-               << ",\"identical\":" << (same ? "true" : "false") << "}";
-          std::cout << cell.str() << "\n";
-          report.cell(cell.str());
+      // 1, 8, 12 and 32 shards: every thread count tiles the nodes
+      // differently.
+      for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        Network::Options opt;
+        opt.num_threads = threads;
+        if (faulty) opt.fault = faults;
+        const auto result = maximal_matching(g, 17, 48, opt);
+        const std::uint64_t h = matching_hash(g, result.matching);
+        if (!have_reference) {
+          reference = h;
+          have_reference = true;
         }
+        const bool same = h == reference;
+        all_identical = all_identical && same;
+        table.row()
+            .cell(std::int64_t{faulty ? 1 : 0})
+            .cell(std::int64_t{threads})
+            .cell(static_cast<std::int64_t>(h))
+            .cell(std::string(same ? "yes" : "NO"));
+        std::ostringstream cell;
+        cell << "{\"section\":\"determinism\",\"faults\":"
+             << (faulty ? "true" : "false") << ",\"threads\":" << threads
+             << ",\"matching_hash\":" << h
+             << ",\"identical\":" << (same ? "true" : "false") << "}";
+        std::cout << cell.str() << "\n";
+        report.cell(cell.str());
       }
     }
     std::cout << "\n";
@@ -309,11 +280,11 @@ int main() {
   if (!written.empty()) std::cout << "\nwrote " << written << "\n";
 
   bench::footer(
-      "Reading: every determinism row must say identical=yes (the modes' "
-      "bit-identity contract; this is the hard claim and holds on any "
-      "machine). With >= 2 real cores, dispatch cost should stay in the "
-      "low tens of microseconds per fan-out, and on ba_powerlaw the "
-      "work-stealing max/median service ratio should not exceed the "
-      "static one.");
+      "Reading: every determinism row must say identical=yes (the "
+      "bit-identity contract across shard layouts; this is the hard claim "
+      "and holds on any machine). With >= 2 real cores, dispatch cost "
+      "should stay in the low tens of microseconds per fan-out, rounds/s "
+      "should grow with threads, and on ba_powerlaw the worker task "
+      "counts should spread (idle workers stealing hub-heavy blocks).");
   return all_identical ? 0 : 1;
 }

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/sched.hpp"
-
 namespace dmatch::bench {
 
 /// Standard experiment banner: ties a binary to its EXPERIMENTS.md entry.
@@ -38,19 +36,15 @@ inline std::string shell_line(const char* cmd) {
   return out;
 }
 
-/// JSON object describing the machine and scheduler configuration a bench
-/// ran under. Every BENCH_*.json embeds one as its "machine" key so a
-/// result file is interpretable without knowing which box produced it
-/// (timing numbers from a 1-core CI container and a 32-core workstation
-/// are not comparable; the determinism columns are).
-inline std::string machine_context_json(
-    const support::SchedOptions& sched = {}) {
+/// JSON object describing the machine a bench ran under. Every
+/// BENCH_*.json embeds one as its "machine" key so a result file is
+/// interpretable without knowing which box produced it (timing numbers
+/// from a 1-core CI container and a 32-core workstation are not
+/// comparable; the determinism columns are).
+inline std::string machine_context_json() {
   std::ostringstream o;
   o << "{\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-    << ", \"pinning_supported\": "
-    << (support::Scheduler::pinning_supported() ? "true" : "false")
-    << ", \"sched_mode\": \"" << support::to_string(sched.mode) << "\""
-    << ", \"pin_threads\": " << (sched.pin_threads ? "true" : "false") << "}";
+    << "}";
   return o.str();
 }
 
@@ -88,13 +82,6 @@ class JsonReport {
   /// (typically the same text the bench prints as a JSON line).
   void cell(const std::string& json_object) { cells_.push_back(json_object); }
 
-  /// Override the embedded machine context (e.g. to record the sched
-  /// mode / pinning the bench actually ran with). Defaults to
-  /// machine_context_json({}).
-  void set_machine(std::string json_object) {
-    machine_ = std::move(json_object);
-  }
-
   /// Write the file; returns the path written ("" on failure).
   std::string write() const {
     const std::string root = shell_line("git rev-parse --show-toplevel 2>/dev/null");
@@ -105,7 +92,7 @@ class JsonReport {
     if (!out.good()) return "";
     out << "{\"bench\": \"" << name_ << "\", \"commit\": \"" << commit
         << "\",\n \"machine\": "
-        << (machine_.empty() ? machine_context_json() : machine_)
+        << machine_context_json()
         << ",\n \"cells\": [\n";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       out << "  " << cells_[i] << (i + 1 < cells_.size() ? "," : "") << "\n";
@@ -116,7 +103,6 @@ class JsonReport {
 
  private:
   std::string name_;
-  std::string machine_;
   std::vector<std::string> cells_;
 };
 

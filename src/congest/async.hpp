@@ -73,10 +73,10 @@ struct AsyncOptions {
   /// 1 = fully sequential (no OS threads are created). Any value
   /// produces bit-identical runs.
   unsigned num_threads = 1;
-  /// Scheduling mode / pinning / profiling for the wave dispatcher (see
-  /// support/sched.hpp). Like num_threads, every mode is bit-identical:
-  /// shard geometry is frozen from the scheduler's task plan before the
-  /// first event executes, and all cross-shard merges are canonical.
+  /// Profiling for the wave dispatcher (see support/sched.hpp). Shard
+  /// geometry is frozen from the scheduler's task plan before the first
+  /// event executes, and all cross-shard merges are canonical, so results
+  /// do not depend on the shard count.
   support::SchedOptions sched;
   /// Fault plan with the round engine's semantics. Inactive by default.
   FaultPlan fault;

@@ -25,10 +25,10 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
   sched_ = std::make_unique<support::Scheduler>(num_threads_, options_.sched);
-  // Shard count is frozen here: one shard per worker under static and
-  // rapid-start dispatch, several stealable blocks per worker under
-  // work-stealing. Results are shard-layout independent, so modes with
-  // different shard counts still produce bit-identical runs.
+  // Shard count is frozen here: one shard for one worker, several
+  // stealable blocks per worker otherwise. Results are shard-layout
+  // independent, so thread counts with different shard counts still
+  // produce bit-identical runs.
   num_shards_ = sched_->plan_tasks(n);
 
   // Slot-offset prefix sums stay sequential (a scan), but the per-node

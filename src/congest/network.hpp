@@ -9,9 +9,9 @@
 //
 // Rounds execute on a sharded engine (see docs/PROTOCOLS.md, "Round
 // engine"): nodes are partitioned into contiguous balanced shards whose
-// count is fixed at construction by the scheduler (one task per worker
-// under static and rapid-start dispatch, several blocks per worker under
-// work-stealing), and each round runs as step phase -> barrier -> route
+// count is fixed at construction by the scheduler (one shard for one
+// worker, several stealable blocks per worker otherwise), and each round
+// runs as step phase -> barrier -> route
 // phase, every shard being one lane of the shared round kernel
 // (congest/round_kernel.hpp, which MpEngine drives too). Messages travel
 // through port-indexed mailbox slots (one slot per directed edge
@@ -19,8 +19,7 @@
 // sits on the hot path. Per-node hot state (registers, RNGs, receive
 // gates) lives in 64-byte-aligned per-shard SoA slabs, so shards never
 // share a cache line. Results — matchings, RunStats, every per-node RNG
-// draw — are bit-identical for any Options::num_threads and any
-// Options::sched mode.
+// draw — are bit-identical for any Options::num_threads.
 #pragma once
 
 #include <memory>
@@ -65,11 +64,10 @@ class Network {
     /// 1 = fully sequential (no OS threads are created). Any value
     /// produces bit-identical runs.
     unsigned num_threads = 0;
-    /// Scheduling mode, pinning and profiling knobs for the round
-    /// engine's dispatcher (see support/sched.hpp). Every mode produces
-    /// bit-identical runs; `sched.profile` additionally records
-    /// wall-clock shard service times and, with an observer attached,
-    /// emits them as (non-deterministic) kSchedShard trace events and a
+    /// Profiling knob for the round engine's dispatcher (see
+    /// support/sched.hpp). `sched.profile` records wall-clock shard
+    /// service times and, with an observer attached, emits them as
+    /// (non-deterministic) kSchedShard trace events and a
     /// sched.shard_service_ns histogram.
     support::SchedOptions sched;
     /// Fault-injection plan. The default (inactive) plan leaves the
@@ -105,7 +103,7 @@ class Network {
   /// >= 1). Equals the scheduler's task plan for node_count() items.
   [[nodiscard]] unsigned num_shards() const noexcept { return num_shards_; }
 
-  /// The engine's dispatcher. Exposes the scheduling options and, when
+  /// The engine's dispatcher. Exposes its options and, when
   /// Options::sched.profile is set, per-shard service-time counters.
   [[nodiscard]] const support::Scheduler& scheduler() const noexcept {
     return *sched_;

@@ -41,8 +41,7 @@ struct DeltaMwmOptions {
   congest::FaultPlan fault;
   /// Round-engine worker count for the box network (0 = hardware).
   unsigned num_threads = 0;
-  /// Scheduling policy for the box network (mode, pinning, steal
-  /// granularity). Results are identical across modes.
+  /// Dispatcher profiling for the box network.
   support::SchedOptions sched;
   /// ARQ tuning for the resilient link layer (fault mode only).
   congest::ResilientOptions arq;

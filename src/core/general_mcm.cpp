@@ -66,12 +66,15 @@ class ColorSampleProcess final : public Process {
           neighbor_in[static_cast<std::size_t>(env.port)] = reader.read(1) != 0;
         }
         // An incident edge is in E^ iff bichromatic with both ends in V^.
+        // The predicate is symmetric, so only the lower-id endpoint
+        // records it: the two endpoints may sit in different shards, and
+        // one writer per slot keeps the round free of data races.
         for (int p = 0; p < ctx.degree(); ++p) {
           const bool in = in_vhat_ && neighbor_in[static_cast<std::size_t>(p)] &&
                           neighbor_color_[static_cast<std::size_t>(p)] != color_;
-          if (in) {
-            const EdgeId e =
-                g_->incident_edges(id_)[static_cast<std::size_t>(p)];
+          const EdgeId e = g_->incident_edges(id_)[static_cast<std::size_t>(p)];
+          const Edge& ed = g_->edge(e);
+          if (in && id_ == std::min(ed.u, ed.v)) {
             edge_in_out_[static_cast<std::size_t>(e)] = true;
           }
         }

@@ -15,8 +15,8 @@ namespace {
 
 /// Color draw for iteration `iter`: a pure splitmix-style hash of
 /// (seed, epoch, iter, node). Host-side and order-free, so the sampled
-/// G^ is identical across thread counts, sched modes and region
-/// enumeration order — the property the bit-identity tests pin down.
+/// G^ is identical across thread counts and region enumeration order —
+/// the property the bit-identity tests pin down.
 std::uint8_t color_draw(std::uint64_t seed, std::uint64_t epoch,
                         std::uint64_t iter, NodeId v) {
   std::uint64_t z = seed;

@@ -9,8 +9,8 @@
 //
 //  * colors are drawn host-side as a pure hash of (seed, epoch,
 //    iteration, node) — deterministic regardless of region enumeration
-//    order, thread count or sched mode — and the shortest leftover path
-//    (known from the gating oracle) is overridden with the alternating
+//    order or thread count — and the shortest leftover path (known
+//    from the gating oracle) is overridden with the alternating
 //    pattern, so each iteration provably augments at least one path
 //    while the hash colors diversify which other paths join it;
 //  * participants are the active region nodes that are live and in V^

@@ -34,8 +34,8 @@
 //
 // Everything that decides state — epoch boundaries, BFS order, the
 // full-vs-incremental choice, the engine run itself — is deterministic,
-// so the whole service trajectory is bit-identical across thread counts
-// and sched modes; wall-clock enters only the latency fields of the
+// so the whole service trajectory is bit-identical across thread counts;
+// wall-clock enters only the latency fields of the
 // EpochReport.
 #pragma once
 

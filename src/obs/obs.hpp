@@ -53,9 +53,8 @@ struct ObsConfig {
   /// Bounded-memory tracing: keep only the (canonically) newest
   /// `trace_capacity` events across the whole sink, compacted by the
   /// driver at committed round boundaries. 0 = unbounded. The retained
-  /// set is byte-identical across thread counts and sched modes for the
-  /// same cap, and capped traces agree with uncapped ones on every
-  /// retained event.
+  /// set is byte-identical across thread counts for the same cap, and
+  /// capped traces agree with uncapped ones on every retained event.
   std::size_t trace_capacity = 0;
 };
 

@@ -25,11 +25,6 @@
 //   --threads N      worker count for the simulated networks and the
 //                    async executor (0 = hardware concurrency, default 1;
 //                    results are bit-identical for any value)
-//   --sched-mode M   dispatcher scheduling mode: static | steal | rapid
-//                    (default static; results are bit-identical across
-//                    modes — only wall-clock behavior differs)
-//   --pin 0|1        pin engine workers to CPUs round-robin (Linux only;
-//                    best-effort, default 0)
 //
 // Fault injection (maximal, mcm-bipartite, mcm-general, mwm):
 //   --fault-drop P     per-message drop probability
@@ -68,6 +63,9 @@
 //   --rto-var-mult K    RTO deviation multiplier (srtt + K*rttvar);
 //                       default 2, or 4 when --delay-model pareto (the
 //                       re-derived heavy-tail value)
+//
+// Any other option is a usage error (exit 2).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -75,6 +73,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/obs.hpp"
 
@@ -100,6 +99,16 @@ struct Args {
   }
 };
 
+// Every option the header documents; anything else is rejected up front.
+constexpr std::string_view kKnownOptions[] = {
+    "input",       "gen",          "weights",       "seed",
+    "k",           "epsilon",      "dot",           "threads",
+    "fault-drop",  "fault-dup",    "fault-delay",   "fault-reorder",
+    "fault-crash", "fault-restart", "fault-seed",   "delay-model",
+    "max-delay",   "pareto-alpha", "trace-out",     "metrics-out",
+    "trace-cap",   "profile-links", "profile-sketch", "arq-window",
+    "fec-group",   "spec-retx",    "rto-var-mult"};
+
 std::optional<Args> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   Args args;
@@ -109,6 +118,7 @@ std::optional<Args> parse(int argc, char** argv) {
     if (key.rfind("--", 0) != 0) return std::nullopt;
     args.options[key.substr(2)] = argv[i + 1];
   }
+  if (argc % 2 != 0) return std::nullopt;  // dangling key
   return args;
 }
 
@@ -258,18 +268,6 @@ int run(const Args& args) {
   const unsigned num_threads =
       static_cast<unsigned>(std::stoul(args.get("threads", "1")));
 
-  support::SchedOptions sched;
-  if (const std::string mode = args.get("sched-mode"); !mode.empty()) {
-    const auto parsed = support::parse_sched_mode(mode);
-    if (!parsed.has_value()) {
-      std::cerr << "unknown --sched-mode: " << mode
-                << " (expected static | steal | rapid)\n";
-      return 2;
-    }
-    sched.mode = *parsed;
-  }
-  sched.pin_threads = args.get("pin", "0") != "0";
-
   congest::ResilientOptions arq;
   arq.window = std::stoi(args.get("arq-window", std::to_string(arq.window)));
   DMATCH_EXPECTS(arq.window >= 1);
@@ -289,7 +287,6 @@ int run(const Args& args) {
 
   congest::Network::Options net_options;
   net_options.num_threads = num_threads;
-  net_options.sched = sched;
   net_options.fault = fault;
   net_options.observer = observer.get();
   if (args.command == "maximal") {
@@ -310,7 +307,6 @@ int run(const Args& args) {
     options.k = std::stoi(args.get("k", "3"));
     options.seed = seed;
     options.num_threads = num_threads;
-    options.sched = sched;
     options.fault = fault;
     options.arq = arq;
     options.observer = observer.get();
@@ -322,7 +318,6 @@ int run(const Args& args) {
     options.epsilon = std::stod(args.get("epsilon", "0.1"));
     options.seed = seed;
     options.num_threads = num_threads;
-    options.sched = sched;
     options.fault = fault;
     options.arq = arq;
     options.observer = observer.get();
@@ -391,6 +386,13 @@ int main(int argc, char** argv) {
                  "mwm-local|exact|generate> [--key value ...]\n"
                  "see the header of tools/dmatch_cli.cpp for details\n";
     return 2;
+  }
+  for (const auto& [key, value] : args->options) {
+    if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions), key) ==
+        std::end(kKnownOptions)) {
+      std::cerr << "unknown option: --" << key << "\n";
+      return 2;
+    }
   }
   try {
     return run(*args);

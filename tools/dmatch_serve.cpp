@@ -23,7 +23,6 @@
 //                     0 forces every epoch to a full recompute)
 //   --threads N       repair engine worker count (default 1; trajectory
 //                     is bit-identical for any value)
-//   --sched-mode M    static | steal | rapid (default static)
 //   --seed S          seed for topology, workload, and engine (default 1)
 //   --certify 0|1     certify every epoch against core/verify, including
 //                     the exact optimum / approximation ratio (default 0;
@@ -41,12 +40,15 @@
 // The schedule's depart/return ops are merged into the workload stream
 // by timestamp, so the service absorbs the same failure history a
 // faulted static run would see — as ordinary churn.
+//
+// Any other option is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "congest/fault.hpp"
@@ -54,7 +56,6 @@
 #include "dyn/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
-#include "support/sched.hpp"
 
 using namespace dmatch;
 
@@ -72,6 +73,14 @@ struct Args {
     return options.count(key) != 0;
   }
 };
+
+// Every option the header documents; anything else is rejected up front.
+constexpr std::string_view kKnownOptions[] = {
+    "gen",         "mode",          "ops",         "max-ops",
+    "max-latency", "hops",          "quality-k",   "fallback",
+    "threads",     "seed",          "certify",     "quiet",
+    "fault-crash", "fault-restart", "restart-delay", "crash-bound",
+    "horizon",     "us-per-round",  "fault-seed"};
 
 std::optional<Args> parse(int argc, char** argv) {
   Args args;
@@ -148,24 +157,21 @@ int main(int argc, char** argv) {
   }
   const Args& args = *parsed;
 
-  // Mode names are checked before any work, with the same usage error
-  // (exit 2) as dmatch_cli.
+  // Option and mode names are checked before any work, with the same
+  // usage error (exit 2) as dmatch_cli.
+  for (const auto& [key, value] : args.options) {
+    if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions), key) ==
+        std::end(kKnownOptions)) {
+      std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
+      return 2;
+    }
+  }
   const std::string mode = args.get("mode", "uniform");
   const std::optional<dyn::WorkloadMode> workload_mode = parse_mode(mode);
   if (!workload_mode) {
     std::fprintf(stderr,
                  "unknown --mode: %s (expected uniform | hotspot | flap)\n",
                  mode.c_str());
-    return 2;
-  }
-  const std::string sched_mode = args.get("sched-mode", "static");
-  const std::optional<support::SchedMode> sched =
-      support::parse_sched_mode(sched_mode);
-  if (!sched) {
-    std::fprintf(stderr,
-                 "unknown --sched-mode: %s (expected static | steal | "
-                 "rapid)\n",
-                 sched_mode.c_str());
     return 2;
   }
 
@@ -180,7 +186,6 @@ int main(int argc, char** argv) {
   so.repair.fallback_fraction = std::stod(args.get("fallback", "0.25"));
   so.repair.num_threads =
       static_cast<unsigned>(std::stoul(args.get("threads", "1")));
-  so.repair.sched.mode = *sched;
   so.repair.seed = seed;
   const bool certify = args.get("certify", "0") == "1";
   so.repair.certify = certify;

@@ -188,19 +188,19 @@ ENTRIES = [
      "1-core container every speedup is ≤ 1 and the determinism columns are\n"
      "the load-bearing check). Also writes `BENCH_async_scaling.json` at the\n"
      "repo root.\n"),
-    ("bench_scheduling", "E23 — Scheduling modes (static / steal / rapid)",
-     "**Claim (engineering, not the paper's).** Dispatch mode (static /\n"
-     "work-stealing / rapid-start), thread pinning and profiling change only\n"
-     "*when* shard tasks run, never results: matchings, RunStats and obs\n"
-     "artifacts are byte-identical across every mode × thread-count ×\n"
-     "fault-plan cell. Work stealing targets the per-shard service-time skew\n"
+    ("bench_scheduling", "E23 — Work-stealing dispatch (support/sched)",
+     "**Claim (engineering, not the paper's).** The one dispatcher (a\n"
+     "condition-variable handoff plus work stealing over claim flags, 1 task\n"
+     "for 1 worker, else 4 per worker) changes only *when* shard tasks run,\n"
+     "never results: matchings, RunStats and obs artifacts are\n"
+     "byte-identical across every thread-count (shard-layout) ×\n"
+     "fault-plan cell. Stealing targets the per-shard service-time skew\n"
      "that power-law graphs create (hub shards run hotter than the\n"
      "balanced-partition average).\n\n"
      "**Expectation.** Every determinism row says `identical=yes`; the\n"
      "balance section shows max/median service-time skew well above 1 on\n"
-     "`ba_powerlaw` and ≈ 1 on `gnp`; dispatch-overhead and throughput\n"
-     "sections need real cores to rank the modes. Also writes\n"
-     "`BENCH_scheduling.json` at the repo root.\n"),
+     "`ba_powerlaw` and ≈ 1 on `gnp`; rounds/s grows with threads on real\n"
+     "cores. Also writes `BENCH_scheduling.json` at the repo root.\n"),
     ("bench_dyn_churn", "E26 — Dynamic matching service under churn (src/dyn)",
      "**Claim (engineering, not the paper's).** Re-matching only the k-hop\n"
      "dirty region around each epoch's updates — boundary pairs frozen, run\n"
@@ -258,7 +258,7 @@ SUMMARY = """## Summary
 | E20 | selective-repeat ARQ overhead | ~1.03× lossless, ≤ 2× through 5 % drops; window 16 does NOT close the 10 %-drop gap (loss-recovery-bound) |
 | E21 | observability overhead | < 5 % enabled on the protocol round loop; 0 % compiled out |
 | E22 | sharded async executor scaling | thread-count-invariant events/rounds/matchings; multicore speedup needs real cores |
-| E23 | scheduling modes (static/steal/rapid) | determinism cells identical across mode × threads × faults; hub-shard skew on power-law graphs = the slack stealing targets; timing needs real cores |
+| E23 | work-stealing dispatch | determinism cells identical across threads (shard layouts) × faults; hub-shard skew on power-law graphs = the slack stealing takes up; rounds/s grows with threads on 4 cores |
 | E26 | dynamic matching under churn (src/dyn) | incremental dirty-region repair beats full recompute on p50 and p99 at ≤ 1% churn in every profile; falls back past the region threshold at 5%; every epoch certified maximal |
 | E27 | beyond-maximal quality ladder under churn (src/dyn/augment) | every certified epoch at ≤ 1% churn holds ratio ≥ 1 − 1/k for k ∈ {2, 3}; incremental p99 stays within 3× of the k = 1 path; 0 invalid matchings |
 
@@ -280,8 +280,8 @@ def bench_json_section() -> str:
         "\n## Machine-readable results\n\n"
         "Written at the repo root by the bench binaries (schema\n"
         '`{"bench", "commit", "machine", "cells": [...]}` — the `machine`\n'
-        "object records `hardware_concurrency`, pinning support and the\n"
-        "sched mode, so timing cells are interpretable off-box):\n\n"
+        "object records `hardware_concurrency`, so timing cells are\n"
+        "interpretable off-box):\n\n"
         "| file | bench | commit | cells |\n|---|---|---|---|\n"
     )
     for f in files:
