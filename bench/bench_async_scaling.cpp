@@ -82,7 +82,8 @@ Sample run_once(const Graph& g, unsigned threads, int rounds) {
 
 double time_build_extract(const Graph& g, unsigned threads) {
   const auto start = std::chrono::steady_clock::now();
-  Network net(g, Model::kCongest, 5, 48, Network::Options{threads});
+  Network net(g, Model::kCongest, 5, 48,
+              Network::Options{.num_threads = threads});
   (void)israeli_itai(net);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)

@@ -60,7 +60,8 @@ struct Sample {
 };
 
 Sample run_once(const Graph& g, unsigned threads, int rounds) {
-  Network net(g, Model::kLocal, 1, 48, Network::Options{threads});
+  Network net(g, Model::kLocal, 1, 48,
+              Network::Options{.num_threads = threads});
   const auto start = std::chrono::steady_clock::now();
   Sample s;
   s.stats = net.run(

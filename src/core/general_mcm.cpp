@@ -43,15 +43,16 @@ class ColorSampleProcess final : public Process {
         break;
       }
       case 1: {
-        neighbor_color_.assign(static_cast<std::size_t>(ctx.degree()), 0);
+        neighbor_.assign(static_cast<std::size_t>(ctx.degree()), 0);
         for (const Envelope& env : inbox) {
           auto reader = env.msg.reader();
-          neighbor_color_[static_cast<std::size_t>(env.port)] =
+          neighbor_[static_cast<std::size_t>(env.port)] =
               static_cast<std::uint8_t>(reader.read(1));
         }
         const int mate = ctx.mate_port();
         in_vhat_ = mate < 0 ||
-                   neighbor_color_[static_cast<std::size_t>(mate)] != color_;
+                   (neighbor_[static_cast<std::size_t>(mate)] & kColorBit) !=
+                       color_;
         BitWriter w;
         w.write_bool(in_vhat_);
         const Message msg = Message::from_writer(std::move(w));
@@ -59,26 +60,29 @@ class ColorSampleProcess final : public Process {
         break;
       }
       case 2: {
-        std::vector<char> neighbor_in(static_cast<std::size_t>(ctx.degree()),
-                                      false);
+        halted_ = true;
+        // A node outside V^ has no incident E^ edge. (A process
+        // respawned at round 2 has in_vhat_ false and an empty neighbor_.)
+        if (!in_vhat_) break;
         for (const Envelope& env : inbox) {
           auto reader = env.msg.reader();
-          neighbor_in[static_cast<std::size_t>(env.port)] = reader.read(1) != 0;
+          std::uint8_t& nb = neighbor_[static_cast<std::size_t>(env.port)];
+          nb = static_cast<std::uint8_t>(
+              (nb & kColorBit) | (reader.read(1) != 0 ? kInBit : 0));
         }
         // An incident edge is in E^ iff bichromatic with both ends in V^.
         // The predicate is symmetric, so only the lower-id endpoint
         // records it: the two endpoints may sit in different shards, and
         // one writer per slot keeps the round free of data races.
-        for (int p = 0; p < ctx.degree(); ++p) {
-          const bool in = in_vhat_ && neighbor_in[static_cast<std::size_t>(p)] &&
-                          neighbor_color_[static_cast<std::size_t>(p)] != color_;
-          const EdgeId e = g_->incident_edges(id_)[static_cast<std::size_t>(p)];
-          const Edge& ed = g_->edge(e);
-          if (in && id_ == std::min(ed.u, ed.v)) {
-            edge_in_out_[static_cast<std::size_t>(e)] = true;
+        const auto edges = g_->incident_edges(id_);
+        for (std::size_t p = 0; p < edges.size(); ++p) {
+          const std::uint8_t nb = neighbor_[p];
+          if ((nb & kInBit) == 0 || (nb & kColorBit) == color_) continue;
+          const Edge& ed = g_->edge(edges[p]);
+          if (id_ == std::min(ed.u, ed.v)) {
+            edge_in_out_[static_cast<std::size_t>(edges[p])] = true;
           }
         }
-        halted_ = true;
         break;
       }
       default:
@@ -96,7 +100,11 @@ class ColorSampleProcess final : public Process {
   std::vector<char>& edge_in_out_;
   std::uint8_t color_ = 0;
   bool in_vhat_ = false;
-  std::vector<std::uint8_t> neighbor_color_;
+  // The one per-node buffer of a sample run: per port, the neighbor's
+  // color (round 1) and its V^ membership (round 2).
+  static constexpr std::uint8_t kColorBit = 1;
+  static constexpr std::uint8_t kInBit = 2;
+  std::vector<std::uint8_t> neighbor_;
   bool halted_ = false;
 };
 

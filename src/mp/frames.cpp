@@ -22,7 +22,7 @@ constexpr std::uint64_t kMaxDelaySpan = 1u << 20;
 /// ceil(bits / 8) bytes.
 std::vector<std::uint8_t> seal(BitWriter&& w) {
   const std::size_t nbytes = (w.bit_count() + 7) / 8;
-  const std::vector<std::uint64_t> words = std::move(w).take_words();
+  const WordStore words = std::move(w).take_words();
   std::vector<std::uint8_t> out(nbytes);
   for (std::size_t i = 0; i < nbytes; ++i) {
     out[i] = static_cast<std::uint8_t>(words[i / 8] >> (8 * (i % 8)));
@@ -38,7 +38,7 @@ class CheckedReader {
   explicit CheckedReader(std::span<const std::uint8_t> bytes)
       : words_((bytes.size() + 7) / 8, 0),
         bits_(static_cast<std::uint32_t>(bytes.size() * 8)),
-        reader_(words_, bits_) {
+        reader_(words_.data(), bits_) {
     for (std::size_t i = 0; i < bytes.size(); ++i) {
       words_[i / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
     }

@@ -245,10 +245,11 @@ TEST(AsyncParallel, AgreesWithRoundEngineForAnyThreadPairing) {
   // The same protocol through the sharded round engine and the sharded
   // async executor, each at several thread counts: one matching.
   const Graph g = gen::gnp(100, 0.06, 17);
-  Network net(g, Model::kCongest, 23, 48, Network::Options{1});
+  Network net(g, Model::kCongest, 23, 48, Network::Options{.num_threads = 1});
   const IsraeliItaiResult sync_result = israeli_itai(net);
   for (const unsigned threads : kThreadCounts) {
-    Network pnet(g, Model::kCongest, 23, 48, Network::Options{threads});
+    Network pnet(g, Model::kCongest, 23, 48,
+                 Network::Options{.num_threads = threads});
     const IsraeliItaiResult engine = israeli_itai(pnet);
     EXPECT_TRUE(engine.matching == sync_result.matching)
         << "threads=" << threads;

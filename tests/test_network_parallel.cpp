@@ -133,11 +133,13 @@ class Chatter final : public Process {
 TEST(NetworkParallel, IsraeliItaiIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const Graph g = gen::gnp(300, 0.03, seed);
-    Network ref(g, Model::kCongest, seed, 48, Network::Options{1});
+    Network ref(g, Model::kCongest, seed, 48,
+                Network::Options{.num_threads = 1});
     const IsraeliItaiResult expected = israeli_itai(ref);
     EXPECT_TRUE(expected.matching.is_maximal(g));
     for (const unsigned threads : kThreadCounts) {
-      Network net(g, Model::kCongest, seed, 48, Network::Options{threads});
+      Network net(g, Model::kCongest, seed, 48,
+                  Network::Options{.num_threads = threads});
       const IsraeliItaiResult got = israeli_itai(net);
       expect_same_stats(expected.stats, got.stats, threads);
       EXPECT_TRUE(expected.matching == got.matching)
@@ -153,10 +155,12 @@ TEST(NetworkParallel, BipartiteMcmIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(side.has_value());
     BipartiteMcmOptions options;
     options.k = 3;
-    Network ref(g, Model::kCongest, seed, 48, Network::Options{1});
+    Network ref(g, Model::kCongest, seed, 48,
+                Network::Options{.num_threads = 1});
     const BipartiteMcmResult expected = bipartite_mcm(ref, *side, options);
     for (const unsigned threads : kThreadCounts) {
-      Network net(g, Model::kCongest, seed, 48, Network::Options{threads});
+      Network net(g, Model::kCongest, seed, 48,
+                  Network::Options{.num_threads = threads});
       const BipartiteMcmResult got = bipartite_mcm(net, *side, options);
       expect_same_stats(expected.stats, got.stats, threads);
       EXPECT_TRUE(expected.matching == got.matching)
@@ -169,12 +173,14 @@ TEST(NetworkParallel, WeightedProtocolIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     const Graph g =
         gen::with_uniform_weights(gen::gnp(200, 0.04, seed), 1.0, 9.0, seed);
-    Network ref(g, Model::kCongest, seed, 48, Network::Options{1});
+    Network ref(g, Model::kCongest, seed, 48,
+                Network::Options{.num_threads = 1});
     const RunStats expected = ref.run(heaviest_proposer_factory(), 1 << 12);
     const Matching expected_m = ref.extract_matching();
     EXPECT_TRUE(expected.completed);
     for (const unsigned threads : kThreadCounts) {
-      Network net(g, Model::kCongest, seed, 48, Network::Options{threads});
+      Network net(g, Model::kCongest, seed, 48,
+                  Network::Options{.num_threads = threads});
       const RunStats got = net.run(heaviest_proposer_factory(), 1 << 12);
       expect_same_stats(expected, got, threads);
       EXPECT_TRUE(expected_m == net.extract_matching())
@@ -186,11 +192,12 @@ TEST(NetworkParallel, WeightedProtocolIdenticalAcrossThreadCounts) {
 TEST(NetworkParallel, LubyMisIdenticalAcrossThreadCounts) {
   const Graph g = gen::gnp(250, 0.04, 21);
   std::vector<std::uint8_t> ref_flags(250, 2);
-  Network ref(g, Model::kCongest, 21, 48, Network::Options{1});
+  Network ref(g, Model::kCongest, 21, 48, Network::Options{.num_threads = 1});
   const RunStats expected = ref.run(luby_mis_factory(ref_flags), 1 << 12);
   for (const unsigned threads : kThreadCounts) {
     std::vector<std::uint8_t> flags(250, 2);
-    Network net(g, Model::kCongest, 21, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 21, 48,
+                Network::Options{.num_threads = threads});
     const RunStats got = net.run(luby_mis_factory(flags), 1 << 12);
     expect_same_stats(expected, got, threads);
     EXPECT_EQ(ref_flags, flags) << "threads=" << threads;
@@ -199,7 +206,7 @@ TEST(NetworkParallel, LubyMisIdenticalAcrossThreadCounts) {
 
 TEST(NetworkParallel, MessageTooLargePropagatesFromWorker) {
   const Graph g = gen::gnp(64, 0.2, 3);
-  Network net(g, Model::kCongest, 3, 1, Network::Options{8});
+  Network net(g, Model::kCongest, 3, 1, Network::Options{.num_threads = 8});
   EXPECT_THROW(net.run(
                    [](NodeId, const Graph&) {
                      return std::make_unique<Chatter>(2, 100000);
@@ -237,7 +244,8 @@ TEST(NetworkParallel, ContractViolationPropagatesFromWorker) {
   };
   const Graph g = gen::cycle(16);
   for (const unsigned threads : {1u, 4u}) {
-    Network net(g, Model::kCongest, 1, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 1, 48,
+                Network::Options{.num_threads = threads});
     EXPECT_THROW(
         net.run([](NodeId, const Graph&)
                     -> std::unique_ptr<Process> {
@@ -260,7 +268,8 @@ TEST(NetworkParallel, ImmediateQuiescenceCostsZeroRounds) {
   };
   const Graph g = gen::cycle(12);
   for (const unsigned threads : kThreadCounts) {
-    Network net(g, Model::kCongest, 1, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 1, 48,
+                Network::Options{.num_threads = threads});
     const RunStats stats = net.run(
         [](NodeId, const Graph&) { return std::make_unique<BornHalted>(); },
         100);
@@ -277,7 +286,8 @@ TEST(NetworkParallel, RoundMessageHistogram) {
   // of `messages`.
   const Graph g = gen::cycle(10);
   for (const unsigned threads : kThreadCounts) {
-    Network net(g, Model::kCongest, 1, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 1, 48,
+                Network::Options{.num_threads = threads});
     const RunStats stats = net.run(
         [](NodeId, const Graph&) { return std::make_unique<Chatter>(3, 7); },
         100);
@@ -327,7 +337,8 @@ TEST(NetworkParallel, OneHopPerRoundAcrossShardBoundaries) {
   const NodeId n = 23;  // prime, so shards never align with the ring
   for (const unsigned threads : kThreadCounts) {
     const Graph g = gen::cycle(n);
-    Network net(g, Model::kCongest, 3, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 3, 48,
+                Network::Options{.num_threads = threads});
     std::vector<int> arrival(static_cast<std::size_t>(n), -1);
     net.run(
         [&arrival](NodeId, const Graph&) {
@@ -346,7 +357,8 @@ TEST(NetworkParallel, BackToBackRunsReuseTheNetwork) {
   // between runs and total_stats() must keep aggregating.
   const Graph g = gen::gnp(120, 0.05, 9);
   for (const unsigned threads : kThreadCounts) {
-    Network net(g, Model::kCongest, 9, 48, Network::Options{threads});
+    Network net(g, Model::kCongest, 9, 48,
+                Network::Options{.num_threads = threads});
     const RunStats first = net.run(
         [](NodeId, const Graph&) { return std::make_unique<Chatter>(2, 3); },
         100);

@@ -226,6 +226,142 @@ TEST(Wire, BitWidthFor) {
   EXPECT_EQ(bit_width_for(~std::uint64_t{0}), 64u);
 }
 
+/// Write exactly `bits` bits as fields of random widths; returns them.
+std::vector<std::pair<std::uint64_t, unsigned>> write_random_fields(
+    BitWriter& w, std::uint32_t bits, Rng& rng) {
+  std::vector<std::pair<std::uint64_t, unsigned>> fields;
+  for (std::uint32_t left = bits; left > 0;) {
+    unsigned width = 1 + static_cast<unsigned>(rng.uniform(64));
+    if (width > left) width = left;
+    std::uint64_t value = rng();
+    if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+    fields.emplace_back(value, width);
+    w.write(value, width);
+    left -= width;
+  }
+  return fields;
+}
+
+TEST(Wire, RoundTripsAcrossTheInlineLimit) {
+  // Two words (128 bits) live inline; 720 bits is the CONGEST cap at
+  // n = 2e4 with factor 48.
+  Rng rng(41);
+  for (const std::uint32_t bits :
+       {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 720u}) {
+    BitWriter w;
+    const auto fields = write_random_fields(w, bits, rng);
+    EXPECT_EQ(w.bit_count(), bits);
+    EXPECT_EQ(w.words().size(), (bits + 63) / 64) << bits;
+    EXPECT_EQ(w.words().spilled(), bits > 128) << bits;
+    BitReader r(w.words(), w.bit_count());
+    for (const auto& [value, width] : fields) {
+      ASSERT_EQ(r.read(width), value) << bits;
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+
+    // The sealed words read back the same through a plain pointer.
+    const WordStore words = std::move(w).take_words();
+    BitReader r2(words.data(), bits);
+    for (const auto& [value, width] : fields) {
+      ASSERT_EQ(r2.read(width), value) << bits;
+    }
+  }
+}
+
+WordStore store_of(std::uint32_t count, std::uint64_t seed) {
+  WordStore s;
+  for (std::uint32_t i = 0; i < count; ++i) s.push_back(seed * 1000 + i);
+  return s;
+}
+
+std::vector<std::uint64_t> contents(const WordStore& s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(WordStore, InlineUpToTwoWordsThenSpills) {
+  WordStore s;
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_FALSE(s.spilled());
+  s.push_back(1);
+  s.push_back(2);
+  EXPECT_FALSE(s.spilled());
+  s.push_back(3);
+  EXPECT_TRUE(s.spilled());
+  EXPECT_EQ(contents(s), (std::vector<std::uint64_t>{1, 2, 3}));
+  s[1] = 7;
+  EXPECT_EQ(s[1], 7u);
+
+  s.assign(5, 9);
+  EXPECT_EQ(contents(s), std::vector<std::uint64_t>(5, 9));
+  s.assign(1, 4);  // shrinking keeps the heap block
+  EXPECT_TRUE(s.spilled());
+  EXPECT_EQ(contents(s), std::vector<std::uint64_t>{4});
+  WordStore t;
+  t.assign(2, 6);
+  EXPECT_FALSE(t.spilled());
+  EXPECT_EQ(contents(t), (std::vector<std::uint64_t>{6, 6}));
+}
+
+TEST(WordStore, CopyAndMoveInlineAndSpilled) {
+  for (const std::uint32_t count : {0u, 1u, 2u, 3u, 12u}) {
+    const WordStore original = store_of(count, count + 1);
+    const auto want = contents(original);
+
+    WordStore copy(original);
+    EXPECT_EQ(contents(copy), want) << count;
+    if (count > 0) {
+      copy[0] ^= 1;  // a copy owns its words
+      EXPECT_EQ(contents(original), want) << count;
+    }
+
+    // Copy- and move-assign into an inline and into a spilled target.
+    for (const std::uint32_t target : {1u, 9u}) {
+      WordStore assigned = store_of(target, 77);
+      assigned = original;
+      EXPECT_EQ(contents(assigned), want) << count << " <- " << target;
+
+      WordStore source(original);
+      WordStore moved_into = store_of(target, 78);
+      moved_into = std::move(source);
+      EXPECT_EQ(contents(moved_into), want) << count << " <- " << target;
+      // The moved-from state is specified: empty, inline and reusable.
+      EXPECT_EQ(source.size(), 0u);
+      EXPECT_FALSE(source.spilled());
+      source.push_back(5);
+      EXPECT_EQ(contents(source), std::vector<std::uint64_t>{5});
+    }
+
+    WordStore source(original);
+    WordStore constructed(std::move(source));
+    EXPECT_EQ(contents(constructed), want) << count;
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_FALSE(source.spilled());
+
+    // Self-assignment, by copy and by move, keeps the value.
+    WordStore self(original);
+    WordStore& alias = self;
+    self = alias;
+    EXPECT_EQ(contents(self), want) << count;
+    self = std::move(alias);
+    EXPECT_EQ(contents(self), want) << count;
+  }
+}
+
+TEST(WordStore, EqualityComparesContentsNotRepresentation) {
+  EXPECT_TRUE(WordStore() == WordStore());
+  EXPECT_TRUE(store_of(2, 3) == store_of(2, 3));
+  EXPECT_TRUE(store_of(5, 3) == store_of(5, 3));
+  EXPECT_FALSE(store_of(2, 3) == store_of(3, 3));
+  EXPECT_FALSE(store_of(5, 3) == store_of(5, 4));
+  WordStore spilled = store_of(5, 3);
+  spilled.assign(1, 42);
+  WordStore inline_one;
+  inline_one.push_back(42);
+  EXPECT_TRUE(spilled.spilled());
+  EXPECT_FALSE(inline_one.spilled());
+  EXPECT_TRUE(spilled == inline_one);
+}
+
 // ------------------------------------------------------------------ table
 
 TEST(Table, RendersMarkdown) {

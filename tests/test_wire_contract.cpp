@@ -202,5 +202,106 @@ TEST(WireContract, MpRoundFrameRejectsForeignTopologyAndOverCap) {
   EXPECT_FALSE(mp::decode_round(bytes, big, 1).has_value());
 }
 
+// Payloads on both sides of congest::Message's inline limit (128 bits)
+// and at the CONGEST cap of n = 2e4 with factor 48 (720 bits). Frames
+// encode payload bits, not the container, so the frame bytes are pinned:
+// how a Message stores its words must never change them.
+congest::Message payload_of_bits(std::uint32_t bits, std::uint64_t seed) {
+  BitWriter w;
+  std::uint64_t state = seed;
+  for (std::uint32_t left = bits; left > 0;) {
+    const unsigned take = left < 64 ? left : 64;
+    std::uint64_t v = splitmix64(state);
+    if (take < 64) v &= (std::uint64_t{1} << take) - 1;
+    w.write(v, take);
+    left -= take;
+  }
+  return congest::Message::from_writer(std::move(w));
+}
+
+bool same_message(const congest::Message& a, const congest::Message& b) {
+  return a.bits == b.bits && a.words == b.words;
+}
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(WireContract, MessageCopyMoveAndEquality) {
+  for (const std::uint32_t bits : {0u, 1u, 65u, 128u, 129u, 720u}) {
+    const congest::Message original = payload_of_bits(bits, 100 + bits);
+    EXPECT_EQ(original.bits, bits);
+    EXPECT_EQ(original.words.size(), (bits + 63) / 64);
+
+    congest::Message copy = original;
+    EXPECT_TRUE(same_message(copy, original)) << bits;
+    congest::Message other = payload_of_bits(bits, 200 + bits);
+    EXPECT_EQ(same_message(other, original), bits == 0) << bits;
+    ++copy.bits;
+    EXPECT_FALSE(same_message(copy, original)) << bits;
+
+    congest::Message source = original;
+    congest::Message moved(std::move(source));
+    EXPECT_TRUE(same_message(moved, original)) << bits;
+    EXPECT_EQ(source.words.size(), 0u) << bits;
+    EXPECT_FALSE(source.words.spilled()) << bits;
+
+    congest::Message& alias = moved;
+    moved = alias;
+    EXPECT_TRUE(same_message(moved, original)) << bits;
+    moved = std::move(alias);
+    EXPECT_TRUE(same_message(moved, original)) << bits;
+
+    // Both the inline and the spilled form read back through reader().
+    BitReader a = moved.reader();
+    BitReader b = original.reader();
+    for (std::uint32_t left = bits; left > 0;) {
+      const unsigned take = left < 64 ? left : 64;
+      ASSERT_EQ(a.read(take), b.read(take)) << bits;
+      left -= take;
+    }
+  }
+}
+
+TEST(WireContract, MpRoundFramePinsBytesAcrossTheInlineLimit) {
+  struct Case {
+    std::uint32_t bits;
+    std::size_t frame_bytes;
+    std::uint64_t fnv;
+  };
+  const Case cases[] = {{128, 46, 0x2757ba14b1315c56ull},
+                        {129, 47, 0xf9b8c4770f28242dull},
+                        {720, 120, 0xb834dd2deadcd755ull}};
+  const Graph g = gen::cycle(8);
+  for (const Case& c : cases) {
+    mp::RoundFrame f;
+    f.src = 2;
+    f.round = 9;
+    mp::WireMsg m;
+    m.dst = 5;
+    m.port = 1;
+    m.deliver_round = 10;
+    m.origin_round = 9;
+    m.msg = payload_of_bits(c.bits, c.bits);
+    EXPECT_EQ(m.msg.words.spilled(), c.bits > 128) << c.bits;
+    f.msgs.push_back(std::move(m));
+
+    const auto bytes = mp::encode_round(f);
+    EXPECT_EQ(bytes.size(), c.frame_bytes) << c.bits;
+    EXPECT_EQ(fnv1a(bytes), c.fnv) << c.bits;
+
+    const auto d = mp::decode_round(bytes, g, 720);
+    ASSERT_TRUE(d.has_value()) << c.bits;
+    ASSERT_EQ(d->msgs.size(), 1u);
+    EXPECT_TRUE(same_message(d->msgs[0].msg, f.msgs[0].msg)) << c.bits;
+    EXPECT_EQ(mp::encode_round(*d), bytes) << c.bits;
+  }
+}
+
 }  // namespace
 }  // namespace dmatch
